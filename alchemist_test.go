@@ -2,11 +2,18 @@ package alchemist_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"alchemist"
 	"alchemist/internal/progs"
+)
+
+// testEngine is the Engine the facade tests compile and run on.
+var (
+	testEngine = alchemist.NewEngine()
+	bg         = context.Background()
 )
 
 const apiSrc = `
@@ -33,11 +40,11 @@ int main() {
 `
 
 func TestCompileAndRun(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	prog, err := testEngine.Compile(bg, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(alchemist.RunConfig{})
+	res, err := testEngine.Run(bg, prog, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +63,18 @@ func TestCompileAndRun(t *testing.T) {
 }
 
 func TestCompileError(t *testing.T) {
-	_, err := alchemist.Compile("bad.mc", "int main() { return x; }")
+	_, err := testEngine.Compile(bg, "bad.mc", "int main() { return x; }")
 	if err == nil || !strings.Contains(err.Error(), "undefined variable") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestProfileAPI(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	prog, err := testEngine.Compile(bg, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, res, err := prog.Profile(alchemist.ProfileConfig{})
+	profile, res, err := testEngine.Profile(bg, prog, alchemist.ProfileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +120,11 @@ func TestProfileAPI(t *testing.T) {
 }
 
 func TestProfileWAROptions(t *testing.T) {
-	prog, err := alchemist.Compile("api.mc", apiSrc)
+	prog, err := testEngine.Compile(bg, "api.mc", apiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, _, err := prog.Profile(alchemist.ProfileConfig{DisableWAR: true, DisableWAW: true})
+	profile, _, err := testEngine.Profile(bg, prog, alchemist.ProfileConfig{DisableWAR: true, DisableWAW: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,20 +139,20 @@ func TestRunParallelAndSim(t *testing.T) {
 	w := progs.Ogg()
 	input := w.InputFor(w.SmallScale)
 
-	seqProg, err := alchemist.Compile("ogg.mc", w.Source)
+	seqProg, err := testEngine.Compile(bg, "ogg.mc", w.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := seqProg.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords})
+	seq, err := testEngine.Run(bg, seqProg, alchemist.RunConfig{Input: input, MemWords: w.MemWords})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	parProg, err := alchemist.Compile("ogg_par.mc", w.ParSource)
+	parProg, err := testEngine.Compile(bg, "ogg_par.mc", w.ParSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := parProg.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords, SimWorkers: 4})
+	sim, err := testEngine.Run(bg, parProg, alchemist.RunConfig{Input: input, MemWords: w.MemWords, SimWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +169,11 @@ func TestRunParallelAndSim(t *testing.T) {
 	}
 
 	// Goroutine mode produces the same output.
-	parProg2, err := alchemist.Compile("ogg_par.mc", w.ParSource)
+	parProg2, err := testEngine.Compile(bg, "ogg_par.mc", w.ParSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := parProg2.Run(alchemist.RunConfig{Input: input, MemWords: w.MemWords, Parallel: true})
+	par, err := testEngine.Run(bg, parProg2, alchemist.RunConfig{Input: input, MemWords: w.MemWords, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +185,12 @@ func TestRunParallelAndSim(t *testing.T) {
 }
 
 func TestStdout(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { print("hi ", 7); return 0; }`)
+	prog, err := testEngine.Compile(bg, "p.mc", `int main() { print("hi ", 7); return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := prog.Run(alchemist.RunConfig{Stdout: &buf}); err != nil {
+	if _, err := testEngine.Run(bg, prog, alchemist.RunConfig{Stdout: &buf}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != "hi 7\n" {
@@ -192,7 +199,7 @@ func TestStdout(t *testing.T) {
 }
 
 func TestIRAccess(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { return 42; }`)
+	prog, err := testEngine.Compile(bg, "p.mc", `int main() { return 42; }`)
 	if err != nil {
 		t.Fatal(err)
 	}

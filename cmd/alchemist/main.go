@@ -51,7 +51,6 @@ import (
 	"alchemist/internal/obs"
 	"alchemist/internal/progs"
 	"alchemist/internal/report"
-	"alchemist/internal/vm"
 )
 
 func main() {
@@ -301,7 +300,6 @@ func profileMerged(ctx context.Context, reg *obs.Registry, name, src string, job
 	// Stream per-job completions so the live display can count finished
 	// jobs, then merge exactly as ProfileBatch would.
 	for i := range jobs {
-		i := i
 		progress.Update(i, 0)
 		jobs[i].OnProgress = func(steps int64) { progress.Update(i, steps) }
 	}
@@ -477,7 +475,7 @@ func cmdTable5(args []string) error {
 	stopProgress := startProgress(*liveProgress, progress)
 	ctx, cancel := newCtx(*timeout)
 	defer cancel()
-	rows, err := bench.Table5Ctx(ctx, bench.Scale{Small: *small, Metrics: vm.NewMetrics(reg), Progress: progress}, *runs, *jobs)
+	rows, err := bench.Table5Ctx(ctx, bench.Scale{Small: *small, Registry: reg, Progress: progress}, *runs, *jobs)
 	stopProgress()
 	if err != nil {
 		return err
@@ -502,11 +500,12 @@ func cmdRun(args []string) error {
 	}
 	ctx, cancel := newCtx(*timeout)
 	defer cancel()
-	prog, err := alchemist.CompileCtx(ctx, name, src)
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, name, src)
 	if err != nil {
 		return err
 	}
-	res, err := prog.RunCtx(ctx, alchemist.RunConfig{
+	res, err := eng.Run(ctx, prog, alchemist.RunConfig{
 		Input: input, MemWords: memWords, Parallel: *parallel, Stdout: os.Stdout,
 	})
 	if err != nil {
@@ -526,7 +525,7 @@ func cmdDisasm(args []string) error {
 	if err != nil {
 		return err
 	}
-	prog, err := alchemist.CompileCtx(context.Background(), name, src)
+	prog, err := alchemist.NewEngine().Compile(context.Background(), name, src)
 	if err != nil {
 		return err
 	}

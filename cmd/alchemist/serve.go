@@ -24,7 +24,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port)")
-	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "engine worker slots, bounding every VM run (0 = GOMAXPROCS)")
 	cacheSize := fs.Int("cache", 0, "compiled-program cache budget (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth; full queue answers 429 (0 = 4x workers)")
 	timeout := fs.Duration("timeout", time.Minute, "default per-job deadline")
@@ -94,15 +94,17 @@ func cmdServe(args []string) error {
 		fmt.Printf("serve: journal recovered %d jobs (%d interrupted, %d requeued, %d torn bytes dropped)\n",
 			rec.Jobs, rec.Interrupted, rec.Requeued, rec.TruncatedBytes)
 	}
+	// Catch signals before listening: a supervisor may send SIGTERM as
+	// soon as the listen line appears, and it must start a drain, not
+	// kill the process with the default action.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	if err := srv.Start(*addr); err != nil {
 		return err
 	}
 	// The listen line goes to stdout so scripts can scrape the bound
 	// address (the port is dynamic with -addr :0).
 	fmt.Printf("serve: listening on %s\n", srv.URL())
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	<-ctx.Done()
 	stopSignals() // a second signal kills the process instead of waiting
 

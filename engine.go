@@ -42,9 +42,10 @@ type CompileOptions struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithWorkers bounds the number of profiling runs an Engine executes
-// concurrently in ProfileBatch / ProfileEach. Values < 1 fall back to
-// runtime.GOMAXPROCS(0).
+// WithWorkers sets the number of worker slots in the Engine's run
+// queue. It bounds every VM run on the Engine — Profile, Run, and each
+// job of the batch calls — together with the Submit units holding a
+// slot. Values < 1 fall back to runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -96,19 +97,16 @@ type CacheStats struct {
 }
 
 // Engine is the long-lived service entry point: it owns a compiled-
-// program LRU cache and a bounded worker pool for concurrent batch
-// profiling. An Engine is safe for concurrent use by multiple
-// goroutines; the zero value is not usable — construct one with
-// NewEngine.
+// program LRU cache and a run queue of worker slots that every
+// execution waits in, in admission order. An Engine is safe for
+// concurrent use by multiple goroutines; the zero value is not usable —
+// construct one with NewEngine.
 //
 // Every engine instruments itself into an obs.Registry (its own, or one
-// shared via WithRegistry): cache traffic, compiles, worker-pool queue
-// depth and in-flight jobs, per-job wall time, VM dispatch-loop
-// counters, and profiler shadow/pool activity. Metrics() exposes the
-// registry; obs.StartServer serves it over HTTP.
-//
-// The free functions of this package (Compile, Program.Profile, ...)
-// remain as deprecated wrappers over a package-default Engine.
+// shared via WithRegistry): cache traffic, compiles, run-queue depth
+// and in-flight jobs, per-job wall time, VM dispatch-loop counters, and
+// profiler shadow/pool activity. Metrics() exposes the registry;
+// obs.StartServer serves it over HTTP.
 type Engine struct {
 	workers    int
 	cacheCap   int
@@ -119,12 +117,11 @@ type Engine struct {
 	em  *engineMetrics
 	vmm *vm.Metrics
 
-	// sem bounds concurrent batch profiling runs across all
-	// ProfileBatch/ProfileEach calls on this Engine.
-	sem chan struct{}
+	// q hands out the worker slots every execution runs on.
+	q *runQueue
 
 	// scratch recycles per-worker profiling buffers (shadow memory,
-	// construct pool) across batch jobs.
+	// construct pool) across profiled runs.
 	scratch sync.Pool
 
 	mu     sync.Mutex
@@ -181,15 +178,15 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		cacheCost: r.Gauge("alchemist_engine_cache_cost_units",
 			"Current cache footprint in DefaultProgramCost units."),
 		queueDepth: r.Gauge("alchemist_engine_queue_depth",
-			"Batch jobs waiting for a worker slot."),
+			"Submit units and VM runs waiting in the run queue for a worker slot."),
 		inflightJobs: r.Gauge("alchemist_engine_inflight_jobs",
-			"Batch jobs currently executing."),
+			"VM runs holding a worker slot and executing."),
 		jobs: r.Counter("alchemist_engine_jobs_total",
-			"Batch profiling jobs completed, including failed ones."),
+			"VM runs (profiled or plain) completed, including failed ones."),
 		jobErrors: r.Counter("alchemist_engine_job_errors_total",
-			"Batch profiling jobs that failed (including cancellations)."),
+			"VM runs that failed (including cancellations)."),
 		jobWall: r.Histogram("alchemist_engine_job_wall_seconds",
-			"Wall-clock time of one batch profiling job.", nil),
+			"Wall-clock time of one VM run on its worker slot.", nil),
 		scratchGets: r.Counter("alchemist_engine_scratch_gets_total",
 			"Profiling scratch buffers checked out of the worker pool."),
 		scratchPuts: r.Counter("alchemist_engine_scratch_puts_total",
@@ -230,8 +227,7 @@ type compileFlight struct {
 }
 
 // NewEngine builds an Engine. With no options it caches up to
-// DefaultCacheSize programs and profiles batches with GOMAXPROCS
-// workers.
+// DefaultCacheSize programs and runs GOMAXPROCS executions at a time.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{cacheCap: DefaultCacheSize}
 	for _, o := range opts {
@@ -252,7 +248,7 @@ func NewEngine(opts ...Option) *Engine {
 		e.em.scratchNews.Inc()
 		return &core.Scratch{}
 	}
-	e.sem = make(chan struct{}, e.workers)
+	e.q = &runQueue{free: e.workers, depth: e.em.queueDepth}
 	if e.cacheCap > 0 {
 		e.cache = make(map[programKey]*list.Element)
 		e.order = list.New()
@@ -261,7 +257,8 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
-// Workers reports the batch-profiling concurrency bound.
+// Workers reports the number of worker slots: the bound on concurrent
+// executions.
 func (e *Engine) Workers() int { return e.workers }
 
 // Metrics returns the registry this Engine instruments itself into —
@@ -401,23 +398,49 @@ func (e *Engine) insertLocked(key programKey, prog *Program) {
 	e.em.cacheCost.Set(e.cost)
 }
 
-// Run executes p without instrumentation under ctx.
+// Run executes p without instrumentation under ctx: a one-job RunEach.
 func (e *Engine) Run(ctx context.Context, p *Program, cfg RunConfig) (*RunResult, error) {
-	cfg.metrics = e.vmm
-	return p.RunCtx(ctx, cfg)
+	r := <-e.RunEach(ctx, p, []RunJob{{Config: &cfg}})
+	return r.Run, r.Err
 }
 
-// Profile executes p sequentially under the profiler under ctx. A
-// config requesting parallel execution is rejected with
-// ErrProfileNeedsSequential.
+// Profile executes p sequentially under the profiler under ctx: a
+// one-job ProfileEach. A config requesting parallel execution is
+// rejected with ErrProfileNeedsSequential.
 func (e *Engine) Profile(ctx context.Context, p *Program, cfg ProfileConfig) (*Profile, *RunResult, error) {
-	cfg.metrics = e.vmm
-	sc := e.scratchGet()
-	defer e.scratchPut(sc)
-	cfg.scratch = sc
-	prof, res, err := p.ProfileCtx(ctx, cfg)
-	e.flushProfileStats(prof)
-	return prof, res, err
+	r := <-e.ProfileEach(ctx, p, []ProfileJob{{Config: &cfg}})
+	return r.Profile, r.Run, r.Err
+}
+
+// execute runs one execution on the worker slot the caller holds: timed
+// into the jobWall histogram, counted as in flight and as a job,
+// recorded as a span, and labelled batch_job for CPU profiles (a server
+// job's job_id/endpoint labels arrive in ctx).
+func (e *Engine) execute(ctx context.Context, span string, i int, fn func(ctx context.Context) error) error {
+	_, sp := xtrace.StartSpan(ctx, span)
+	sp.SetAttr("batch_job", strconv.Itoa(i))
+	e.em.inflightJobs.Add(1)
+	start := time.Now()
+	var err error
+	pprof.Do(ctx, pprof.Labels("batch_job", strconv.Itoa(i)), func(ctx context.Context) {
+		err = fn(ctx)
+	})
+	e.em.jobWall.Observe(time.Since(start).Seconds())
+	e.em.inflightJobs.Add(-1)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+	}
+	sp.End()
+	e.countJob(err)
+	return err
+}
+
+// countJob counts one finished (or abandoned) execution.
+func (e *Engine) countJob(err error) {
+	e.em.jobs.Inc()
+	if err != nil {
+		e.em.jobErrors.Inc()
+	}
 }
 
 // ProfileJob is one profiling run within a batch: an input stream plus
@@ -452,127 +475,93 @@ type BatchResult struct {
 	Err error
 }
 
-// profileJobConfig resolves the effective config for one job.
-func (e *Engine) profileJobConfig(job ProfileJob) ProfileConfig {
-	cfg := e.defProfile
-	if job.Config != nil {
-		cfg = *job.Config
+// withJob lays a batch job's Input and OnProgress, when set, over c.
+func (c RunConfig) withJob(input []int64, onProgress func(int64)) RunConfig {
+	if input != nil {
+		c.Input = input
 	}
-	if job.Input != nil {
-		cfg.Input = job.Input
+	if onProgress != nil {
+		c.OnProgress = onProgress
 	}
-	if job.OnProgress != nil {
-		cfg.OnProgress = job.OnProgress
-	}
-	return cfg
+	return c
 }
 
-func (e *Engine) scratchGet() *core.Scratch {
+// profile runs p sequentially under the profiler, with a scratch buffer
+// from the pool, and folds the profile's shadow-memory and
+// construct-pool counters into the registry.
+func (e *Engine) profile(ctx context.Context, p *Program, cfg ProfileConfig) (*Profile, *RunResult, error) {
+	if cfg.Parallel || cfg.SimWorkers > 0 {
+		return nil, nil, ErrProfileNeedsSequential
+	}
+	opts := core.DefaultOptions()
+	opts.TrackWAR, opts.TrackWAW = !cfg.DisableWAR, !cfg.DisableWAW
+	opts.ReaderSlots, opts.PoolPrealloc = cfg.ReaderSlots, cfg.PoolPrealloc
 	e.em.scratchGets.Inc()
-	return e.scratch.Get().(*core.Scratch)
-}
-
-func (e *Engine) scratchPut(sc *core.Scratch) {
+	opts.Scratch = e.scratch.Get().(*core.Scratch)
+	prof, res, err := core.ProfileProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm), opts)
 	e.em.scratchPuts.Inc()
-	e.scratch.Put(sc)
+	e.scratch.Put(opts.Scratch)
+	if prof != nil {
+		e.em.shadowLoads.Add(prof.Shadow.Loads)
+		e.em.shadowStores.Add(prof.Shadow.Stores)
+		e.em.poolReused.Add(prof.Pool.Reused)
+		e.em.poolAllocated.Add(prof.Pool.Allocated)
+	}
+	return prof, res, err
 }
 
-// flushProfileStats folds one finished profile's shadow-memory and
-// construct-pool counters into the registry. Nil profiles are ignored.
-func (e *Engine) flushProfileStats(prof *Profile) {
-	if prof == nil {
-		return
+// each queues n executions for ctx in one go, then starts them in job
+// order as worker slots pass to them, streaming one result per job in
+// completion order on the returned channel (closed after the last
+// result). Cancellation fails the jobs that have not started via abort.
+func each[R any](e *Engine, ctx context.Context, n int, run func(ctx context.Context, i int) R, abort func(i int, err error) R) <-chan R {
+	if ctx == nil { // tolerate nil like every other entry point
+		ctx = context.Background()
 	}
-	e.em.shadowLoads.Add(prof.Shadow.Loads)
-	e.em.shadowStores.Add(prof.Shadow.Stores)
-	e.em.poolReused.Add(prof.Pool.Reused)
-	e.em.poolAllocated.Add(prof.Pool.Allocated)
-}
-
-// runJob executes one batch job on a worker slot: scratch buffers come
-// from the per-worker pool, the VM reports into the engine's registry,
-// and the job's wall time lands in the jobWall histogram.
-func (e *Engine) runJob(ctx context.Context, p *Program, i int, job ProfileJob) BatchResult {
-	cfg := e.profileJobConfig(job)
-	cfg.metrics = e.vmm
-	sc := e.scratchGet()
-	cfg.scratch = sc
-
-	_, sp := xtrace.StartSpan(ctx, "profile")
-	sp.SetAttr("batch_job", strconv.Itoa(i))
-
-	e.em.inflightJobs.Add(1)
-	start := time.Now()
-	var (
-		prof *Profile
-		res  *RunResult
-		err  error
-	)
-	// The worker goroutine inherits any job_id/endpoint pprof labels from
-	// its spawner; batch_job narrows CPU samples to this run.
-	pprof.Do(ctx, pprof.Labels("batch_job", strconv.Itoa(i)), func(ctx context.Context) {
-		prof, res, err = p.ProfileCtx(ctx, cfg)
-	})
-	e.em.jobWall.Observe(time.Since(start).Seconds())
-	e.em.inflightJobs.Add(-1)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-
-	e.scratchPut(sc)
-	e.flushProfileStats(prof)
-	e.em.jobs.Inc()
-	if err != nil {
-		e.em.jobErrors.Inc()
-	}
-	return BatchResult{Job: i, Profile: prof, Run: res, Err: err}
-}
-
-// fanOut schedules n jobs onto the engine's worker pool, streaming one
-// result per job in completion order on the returned channel (closed
-// after the last result). Jobs wait in the queue-depth gauge until a
-// worker slot frees; cancellation fails not-yet-started jobs via abort.
-func fanOut[R any](e *Engine, ctx context.Context, n int, run func(i int) R, abort func(i int, err error) R) <-chan R {
+	r := e.queueRuns(ctx, n)
 	out := make(chan R, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			e.em.queueDepth.Add(1)
-			select {
-			case e.sem <- struct{}{}:
-				e.em.queueDepth.Add(-1)
-				defer func() { <-e.sem }()
-			case <-ctx.Done():
-				e.em.queueDepth.Add(-1)
-				e.em.jobs.Inc()
-				e.em.jobErrors.Inc()
-				out <- abort(i, ctx.Err())
-				return
-			}
-			out <- run(i)
-		}(i)
-	}
 	go func() {
+		var wg sync.WaitGroup
+		for i, w := range r.ws {
+			if !e.q.wait(ctx, w) {
+				e.countJob(ctx.Err())
+				r.finish(ctx, false)
+				out <- abort(i, ctx.Err())
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res := run(ctx, i)
+				r.finish(ctx, true)
+				out <- res
+			}()
+		}
 		wg.Wait()
 		close(out)
 	}()
 	return out
 }
 
-// ProfileEach fans the jobs over the engine's worker pool and streams
-// one BatchResult per job in completion order. The returned channel is
-// closed after the last result. Cancelling ctx aborts running jobs
-// (each observes it within one VM step-check window) and fails
-// not-yet-started ones with ctx.Err().
+// ProfileEach queues one profiling run per job on the engine's run
+// queue and streams one BatchResult per job in completion order. The
+// returned channel is closed after the last result. Cancelling ctx
+// aborts running jobs (each observes it within one VM step-check
+// window) and fails not-yet-started ones with ctx.Err().
 func (e *Engine) ProfileEach(ctx context.Context, p *Program, jobs []ProfileJob) <-chan BatchResult {
-	if ctx == nil { // tolerate nil like every other entry point
-		ctx = context.Background()
-	}
-	return fanOut(e, ctx, len(jobs),
-		func(i int) BatchResult { return e.runJob(ctx, p, i, jobs[i]) },
+	return each(e, ctx, len(jobs),
+		func(ctx context.Context, i int) BatchResult {
+			r, job, cfg := BatchResult{Job: i}, jobs[i], e.defProfile
+			if job.Config != nil {
+				cfg = *job.Config
+			}
+			cfg.RunConfig = cfg.withJob(job.Input, job.OnProgress)
+			r.Err = e.execute(ctx, "profile", i, func(ctx context.Context) (err error) {
+				r.Profile, r.Run, err = e.profile(ctx, p, cfg)
+				return err
+			})
+			return r
+		},
 		func(i int, err error) BatchResult { return BatchResult{Job: i, Err: err} })
 }
 
@@ -632,64 +621,25 @@ type RunBatchResult struct {
 	Err error
 }
 
-// runJobConfig resolves the effective run config for one job.
-func (e *Engine) runJobConfig(job RunJob) RunConfig {
-	cfg := e.defProfile.RunConfig
-	if job.Config != nil {
-		cfg = *job.Config
-	}
-	if job.Input != nil {
-		cfg.Input = job.Input
-	}
-	if job.OnProgress != nil {
-		cfg.OnProgress = job.OnProgress
-	}
-	return cfg
-}
-
-// runRunJob executes one plain-run batch job on a worker slot, counted
-// under the same job metrics as profiling jobs.
-func (e *Engine) runRunJob(ctx context.Context, p *Program, i int, job RunJob) RunBatchResult {
-	cfg := e.runJobConfig(job)
-	cfg.metrics = e.vmm
-
-	_, sp := xtrace.StartSpan(ctx, "run")
-	sp.SetAttr("batch_job", strconv.Itoa(i))
-
-	e.em.inflightJobs.Add(1)
-	start := time.Now()
-	var (
-		res *RunResult
-		err error
-	)
-	pprof.Do(ctx, pprof.Labels("batch_job", strconv.Itoa(i)), func(ctx context.Context) {
-		res, err = p.RunCtx(ctx, cfg)
-	})
-	e.em.jobWall.Observe(time.Since(start).Seconds())
-	e.em.inflightJobs.Add(-1)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-
-	e.em.jobs.Inc()
-	if err != nil {
-		e.em.jobErrors.Inc()
-	}
-	return RunBatchResult{Job: i, Run: res, Err: err}
-}
-
-// RunEach fans uninstrumented executions over the engine's worker pool
-// — the same pool ProfileEach draws from, so mixed run/profile load
-// shares one concurrency bound — and streams one RunBatchResult per job
-// in completion order. The returned channel is closed after the last
-// result.
+// RunEach queues one uninstrumented execution per job on the engine's
+// run queue — the same queue ProfileEach uses, so mixed run/profile
+// load shares one concurrency bound — and streams one RunBatchResult
+// per job in completion order. The returned channel is closed after the
+// last result.
 func (e *Engine) RunEach(ctx context.Context, p *Program, jobs []RunJob) <-chan RunBatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return fanOut(e, ctx, len(jobs),
-		func(i int) RunBatchResult { return e.runRunJob(ctx, p, i, jobs[i]) },
+	return each(e, ctx, len(jobs),
+		func(ctx context.Context, i int) RunBatchResult {
+			r, job, cfg := RunBatchResult{Job: i}, jobs[i], e.defProfile.RunConfig
+			if job.Config != nil {
+				cfg = *job.Config
+			}
+			cfg = cfg.withJob(job.Input, job.OnProgress)
+			r.Err = e.execute(ctx, "run", i, func(ctx context.Context) (err error) {
+				r.Run, err = core.RunProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm))
+				return err
+			})
+			return r
+		},
 		func(i int, err error) RunBatchResult { return RunBatchResult{Job: i, Err: err} })
 }
 
@@ -711,18 +661,4 @@ func (e *Engine) RunBatch(ctx context.Context, p *Program, jobs []RunJob) ([]Run
 		}
 	}
 	return results, nil
-}
-
-// defaultEngine backs the deprecated package-level facade functions.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the package-default Engine used by the
-// deprecated free functions. It is created on first use with default
-// options.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
 }

@@ -165,7 +165,7 @@ func TestProfileBatchMatchesSequentialMerge(t *testing.T) {
 	// Sequential reference: Profile per input, then Merge.
 	seq := make([]*alchemist.Profile, len(inputs))
 	for i, in := range inputs {
-		p, _, err := prog.ProfileCtx(ctx, alchemist.ProfileConfig{
+		p, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{
 			RunConfig: alchemist.RunConfig{Input: in},
 		})
 		if err != nil {
@@ -296,7 +296,9 @@ func TestProfileBatchNilContext(t *testing.T) {
 // TestProfileRejectsParallel: profiling must not silently override a
 // parallel config — it errors instead.
 func TestProfileRejectsParallel(t *testing.T) {
-	prog, err := alchemist.CompileCtx(context.Background(), "p.mc", `int main() { return 0; }`)
+	ctx := context.Background()
+	eng := alchemist.NewEngine()
+	prog, err := eng.Compile(ctx, "p.mc", `int main() { return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +306,16 @@ func TestProfileRejectsParallel(t *testing.T) {
 		{RunConfig: alchemist.RunConfig{Parallel: true}},
 		{RunConfig: alchemist.RunConfig{SimWorkers: 2}},
 	} {
-		if _, _, err := prog.Profile(cfg); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
+		if _, _, err := eng.Profile(ctx, prog, cfg); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
 			t.Errorf("Profile(%+v) err = %v, want ErrProfileNeedsSequential", cfg, err)
 		}
 	}
-	// Engine.Profile enforces the same contract.
-	if _, _, err := alchemist.DefaultEngine().Profile(context.Background(), prog,
-		alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{Parallel: true}}); !errors.Is(err, alchemist.ErrProfileNeedsSequential) {
-		t.Errorf("Engine.Profile err = %v, want ErrProfileNeedsSequential", err)
+	// Batch jobs enforce the same contract.
+	_, results, err := eng.ProfileBatch(ctx, prog, []alchemist.ProfileJob{
+		{Config: &alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{Parallel: true}}},
+	})
+	if !errors.Is(err, alchemist.ErrProfileNeedsSequential) || !errors.Is(results[0].Err, alchemist.ErrProfileNeedsSequential) {
+		t.Errorf("ProfileBatch err = %v, want ErrProfileNeedsSequential", err)
 	}
 }
 
@@ -346,31 +350,88 @@ func errContains(err error, sub string) bool {
 func TestCompileCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := alchemist.CompileCtx(ctx, "x.mc", "int main() { return 0; }"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("CompileCtx err = %v, want context.Canceled", err)
+	if _, err := alchemist.NewEngine().Compile(ctx, "x.mc", "int main() { return 0; }"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compile err = %v, want context.Canceled", err)
 	}
 }
 
-// TestDeprecatedFacade: the free functions still work as wrappers over
-// the default engine.
-func TestDeprecatedFacade(t *testing.T) {
-	src := fmt.Sprintf("int main() { out(%d); return 0; }", 41)
-	prog, err := alchemist.Compile("facade.mc", src)
+// TestRunQueueAdmissionOrder: with one worker slot, Submit units and
+// batch calls start in the order they were admitted, a unit's nested
+// ProfileBatch and Run run at the unit's place ahead of later work, and
+// the queue gauges drain to zero.
+func TestRunQueueAdmissionOrder(t *testing.T) {
+	ctx := context.Background()
+	eng := alchemist.NewEngine(alchemist.WithWorkers(1))
+	prog, err := eng.Compile(ctx, "batch.mc", batchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(alchemist.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
+	var (
+		mu  sync.Mutex
+		got []string
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		got = append(got, fmt.Sprintf(format, args...))
+		mu.Unlock()
 	}
-	if len(res.Output) != 1 || res.Output[0] != 41 {
-		t.Fatalf("output = %v", res.Output)
+	// Runs are serialized on the one slot, so the final progress report
+	// of each, sent before its slot is released, marks its start order.
+	finished := func(name string) func(int64) {
+		return func(int64) { logf("%s", name) }
 	}
-	prog2, err := alchemist.Compile("facade.mc", src)
-	if err != nil {
-		t.Fatal(err)
+	jobs := func(unit string, n int) []alchemist.ProfileJob {
+		js := make([]alchemist.ProfileJob, n)
+		for i := range js {
+			js[i] = alchemist.ProfileJob{Input: []int64{int64(i)}, OnProgress: finished(fmt.Sprintf("%s/job%d", unit, i))}
+		}
+		return js
 	}
-	if prog2 != prog {
-		t.Error("default engine did not cache the facade compile")
+	nested := func(name string, done *sync.WaitGroup) func(context.Context) {
+		return func(ctx context.Context) {
+			defer done.Done()
+			logf("%s", name)
+			if _, _, err := eng.ProfileBatch(ctx, prog, jobs(name, 3)); err != nil {
+				t.Error(err)
+			}
+			if _, err := eng.Run(ctx, prog, alchemist.RunConfig{OnProgress: finished(name + "/run")}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	for iter := 0; iter < 50; iter++ {
+		mu.Lock()
+		got = nil
+		mu.Unlock()
+		var units sync.WaitGroup
+		units.Add(2)
+		eng.Submit(ctx, nested("u0", &units))
+		batch := eng.ProfileEach(ctx, prog, jobs("b1", 2))
+		eng.Submit(ctx, nested("u2", &units))
+		for r := range batch {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		units.Wait()
+
+		want := []string{
+			"u0", "u0/job0", "u0/job1", "u0/job2", "u0/run",
+			"b1/job0", "b1/job1",
+			"u2", "u2/job0", "u2/job1", "u2/job2", "u2/run",
+		}
+		mu.Lock()
+		order := fmt.Sprint(got)
+		mu.Unlock()
+		if order != fmt.Sprint(want) {
+			t.Fatalf("iteration %d: start order %s, want %v", iter, order, want)
+		}
+	}
+	snap := eng.Metrics().Snapshot()
+	for _, g := range []string{"alchemist_engine_queue_depth", "alchemist_engine_inflight_jobs"} {
+		if v := snap.Gauges[g]; v != 0 {
+			t.Errorf("%s = %d after the queue drained, want 0", g, v)
+		}
 	}
 }

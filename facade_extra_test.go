@@ -8,6 +8,8 @@ import (
 	"alchemist"
 )
 
+// TestCompileOptimizedFacade: a program compiled with optimization
+// prints what the plain one prints, in no more steps.
 func TestCompileOptimizedFacade(t *testing.T) {
 	src := `
 int main() {
@@ -15,19 +17,19 @@ int main() {
 	out(x);
 	return 0;
 }`
-	plain, err := alchemist.Compile("p.mc", src)
+	plain, err := testEngine.Compile(bg, "p.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optd, err := alchemist.CompileOptimized("p.mc", src)
+	optd, err := testEngine.CompileWith(bg, "p.mc", src, alchemist.CompileOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := plain.Run(alchemist.RunConfig{})
+	rp, err := testEngine.Run(bg, plain, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := optd.Run(alchemist.RunConfig{})
+	ro, err := testEngine.Run(bg, optd, alchemist.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ int main() {
 	}
 	return 0;
 }`
-	prog, err := alchemist.Compile("m.mc", src)
+	prog, err := testEngine.Compile(bg, "m.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ int main() {
 		for i := int64(0); i < 12; i++ {
 			input = append(input, i, mode)
 		}
-		p, _, err := prog.Profile(alchemist.ProfileConfig{
+		p, _, err := testEngine.Profile(bg, prog, alchemist.ProfileConfig{
 			RunConfig: alchemist.RunConfig{Input: input},
 		})
 		if err != nil {
@@ -107,11 +109,11 @@ int main() {
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	prog, err := alchemist.Compile("p.mc", `int main() { return 0; }`)
+	prog, err := testEngine.Compile(bg, "p.mc", `int main() { return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(alchemist.RunConfig{Parallel: true, SimWorkers: 2}); err == nil {
+	if _, err := testEngine.Run(bg, prog, alchemist.RunConfig{Parallel: true, SimWorkers: 2}); err == nil {
 		t.Error("Parallel+SimWorkers accepted")
 	}
 }
@@ -122,19 +124,19 @@ int main() {
 	out(rand() & 65535);
 	return 0;
 }`
-	prog, err := alchemist.Compile("r.mc", src)
+	prog, err := testEngine.Compile(bg, "r.mc", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := prog.Run(alchemist.RunConfig{Seed: 1})
+	a, err := testEngine.Run(bg, prog, alchemist.RunConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prog.Run(alchemist.RunConfig{Seed: 99999})
+	b, err := testEngine.Run(bg, prog, alchemist.RunConfig{Seed: 99999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := prog.Run(alchemist.RunConfig{Seed: 1})
+	c, err := testEngine.Run(bg, prog, alchemist.RunConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"alchemist/internal/compile"
+	"alchemist"
 	"alchemist/internal/core"
 	"alchemist/internal/indexing"
 	"alchemist/internal/obs"
@@ -24,16 +24,16 @@ import (
 
 // Scale selects input sizes: 0 uses each workload's default (the paper
 // configuration); otherwise the workload-specific small scale times the
-// factor. It doubles as the harness run configuration: an optional
-// Metrics sink and Progress aggregate are threaded into every VM run
-// the harness performs.
+// factor. It doubles as the harness run configuration: every compile
+// and VM run goes through an alchemist.Engine reporting into Registry,
+// and an optional Progress aggregate sees every run.
 type Scale struct {
 	// Small uses each workload's SmallScale input (fast CI runs).
 	Small bool
-	// Metrics, when non-nil, receives the dispatch-loop counters of
-	// every VM run (native, profiled, and simulated), flushed once per
-	// run; resolve it from a registry with vm.NewMetrics.
-	Metrics *vm.Metrics
+	// Registry, when non-nil, is the metrics registry of the Engines the
+	// harness runs on: compiles, jobs, VM dispatch counters, and
+	// profiler activity of every run land in it.
+	Registry *obs.Registry
 	// Progress, when non-nil, receives live step counts: every VM run
 	// the harness performs allocates one job slot, reports into it via
 	// OnProgress, and marks it done on completion.
@@ -47,11 +47,21 @@ func inputFor(w *progs.Workload, sc Scale) []int64 {
 	return w.InputFor(0)
 }
 
-// vmConfig assembles one run's VM configuration, threading the optional
-// Metrics sink and Progress aggregate. The returned done function marks
-// the run's progress slot complete; call it once the run has finished.
-func (sc Scale) vmConfig(input []int64, memWords int64, simWorkers int) (vm.Config, func()) {
-	cfg := vm.Config{Input: input, MemWords: memWords, SimWorkers: simWorkers, Metrics: sc.Metrics}
+// engine builds an Engine with the given number of worker slots,
+// reporting into the Scale's Registry.
+func (sc Scale) engine(workers int) *alchemist.Engine {
+	opts := []alchemist.Option{alchemist.WithWorkers(workers)}
+	if sc.Registry != nil {
+		opts = append(opts, alchemist.WithRegistry(sc.Registry))
+	}
+	return alchemist.NewEngine(opts...)
+}
+
+// runConfig assembles one run's configuration, threading the optional
+// Progress aggregate. The returned done function marks the run's
+// progress slot complete; call it once the run has finished.
+func (sc Scale) runConfig(input []int64, memWords int64, simWorkers int) (alchemist.RunConfig, func()) {
+	cfg := alchemist.RunConfig{Input: input, MemWords: memWords, SimWorkers: simWorkers}
 	if sc.Progress == nil {
 		return cfg, func() {}
 	}
@@ -60,35 +70,46 @@ func (sc Scale) vmConfig(input []int64, memWords int64, simWorkers int) (vm.Conf
 	return cfg, func() { sc.Progress.MarkDone(slot) }
 }
 
+// timed compiles the sequential workload on a fresh Engine and times
+// one execution of it by run.
+func timed[T any](w *progs.Workload, sc Scale, run func(context.Context, *alchemist.Engine, *alchemist.Program, alchemist.RunConfig) (T, error)) (res T, d time.Duration, err error) {
+	ctx, eng := context.Background(), sc.engine(1)
+	prog, err := eng.Compile(ctx, w.Name+".mc", w.Source)
+	if err != nil {
+		return res, 0, err
+	}
+	cfg, done := sc.runConfig(inputFor(w, sc), w.MemWords, 0)
+	defer done()
+	start := time.Now()
+	res, err = run(ctx, eng, prog, cfg)
+	return res, time.Since(start), err
+}
+
 // RunNative executes the sequential workload without instrumentation and
 // returns the result with its wall-clock time.
 func RunNative(w *progs.Workload, sc Scale) (*vm.Result, time.Duration, error) {
-	prog, err := compile.Build(w.Name+".mc", w.Source)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
-	defer done()
-	start := time.Now()
-	res, err := core.RunProgram(prog, cfg)
-	return res, time.Since(start), err
+	return timed(w, sc, func(ctx context.Context, eng *alchemist.Engine, prog *alchemist.Program, cfg alchemist.RunConfig) (*vm.Result, error) {
+		return eng.Run(ctx, prog, cfg)
+	})
 }
 
 // RunProfiled executes the workload under the profiler and returns the
 // profile with its wall-clock time.
 func RunProfiled(w *progs.Workload, sc Scale) (*core.Profile, time.Duration, error) {
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
-	defer done()
-	start := time.Now()
-	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source, cfg, core.DefaultOptions())
-	return prof, time.Since(start), err
+	return timed(w, sc, func(ctx context.Context, eng *alchemist.Engine, prog *alchemist.Program, cfg alchemist.RunConfig) (*core.Profile, error) {
+		prof, _, err := eng.Profile(ctx, prog, alchemist.ProfileConfig{RunConfig: cfg})
+		return prof, err
+	})
 }
 
-// Profile profiles the workload with explicit options (ablations).
+// Profile profiles the workload with explicit options (ablations). It
+// stays on core: the ablations set core.Options fields that
+// alchemist.ProfileConfig does not expose.
 func Profile(w *progs.Workload, sc Scale, opts core.Options) (*core.Profile, error) {
-	cfg, done := sc.vmConfig(inputFor(w, sc), w.MemWords, 0)
+	cfg, done := sc.runConfig(inputFor(w, sc), w.MemWords, 0)
 	defer done()
-	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source, cfg, opts)
+	prof, _, err := core.ProfileSource(w.Name+".mc", w.Source,
+		vm.Config{Input: cfg.Input, MemWords: cfg.MemWords, OnProgress: cfg.OnProgress}, opts)
 	return prof, err
 }
 
@@ -292,12 +313,13 @@ const Table5Workers = 4
 // timed instead; the simulation keeps the experiment reproducible on any
 // machine).
 func Table5Bench(w *progs.Workload, sc Scale, runs int) (report.Table5Row, error) {
-	return Table5BenchCtx(context.Background(), w, sc, runs)
+	return Table5BenchCtx(context.Background(), sc.engine(1), w, sc, runs)
 }
 
-// Table5BenchCtx is Table5Bench under a context: cancellation aborts the
-// in-flight VM run within one step-check window.
-func Table5BenchCtx(ctx context.Context, w *progs.Workload, sc Scale, runs int) (report.Table5Row, error) {
+// Table5BenchCtx is Table5Bench on eng under a context: each program is
+// compiled once and run runs times, keeping the fastest wall-clock.
+// Cancellation aborts the in-flight VM run within one step-check window.
+func Table5BenchCtx(ctx context.Context, eng *alchemist.Engine, w *progs.Workload, sc Scale, runs int) (report.Table5Row, error) {
 	if !w.HasParallel() {
 		return report.Table5Row{}, fmt.Errorf("%s has no parallel variant", w.Name)
 	}
@@ -306,26 +328,22 @@ func Table5BenchCtx(ctx context.Context, w *progs.Workload, sc Scale, runs int) 
 	}
 	input := inputFor(w, sc)
 	measure := func(name, src string, workers int) (*vm.Result, time.Duration, error) {
+		prog, err := eng.Compile(ctx, name, src)
+		if err != nil {
+			return nil, 0, err
+		}
 		var bestD time.Duration
 		var res *vm.Result
 		for r := 0; r < runs; r++ {
-			p, err := compile.Build(name, src)
-			if err != nil {
-				return nil, 0, err
-			}
-			cfg, done := sc.vmConfig(input, w.MemWords, workers)
-			m, err := vm.New(p, cfg)
-			if err != nil {
-				done()
-				return nil, 0, err
-			}
+			cfg, done := sc.runConfig(input, w.MemWords, workers)
 			start := time.Now()
-			res, err = m.RunCtx(ctx)
+			res, err = eng.Run(ctx, prog, cfg)
+			d := time.Since(start)
 			done()
 			if err != nil {
 				return nil, 0, err
 			}
-			if d := time.Since(start); bestD == 0 || d < bestD {
+			if bestD == 0 || d < bestD {
 				bestD = d
 			}
 		}
@@ -355,7 +373,7 @@ func Table5(sc Scale, runs int) ([]report.Table5Row, error) {
 	return Table5Ctx(context.Background(), sc, runs, 1)
 }
 
-// Table5Ctx measures the Table V workloads with up to jobs benchmarks in
+// Table5Ctx measures the Table V workloads with up to jobs VM runs in
 // flight at once, preserving the fixed row order. Concurrent jobs only
 // skew the wall-clock columns, not the instruction-count speedups
 // (VirtualSteps is deterministic), so jobs > 1 trades timing fidelity
@@ -372,24 +390,20 @@ func Table5Ctx(ctx context.Context, sc Scale, runs, jobs int) ([]report.Table5Ro
 	defer cancel()
 	rows := make([]report.Table5Row, len(workloads))
 	errs := make([]error, len(workloads))
-	sem := make(chan struct{}, jobs)
+	// Each benchmark is one unit on an Engine with jobs worker slots, so
+	// at most jobs VM runs are in flight at once, and with one slot a
+	// benchmark's timed runs never overlap another's.
+	eng := sc.engine(jobs)
 	var wg sync.WaitGroup
 	for i, w := range workloads {
 		wg.Add(1)
-		go func(i int, w *progs.Workload) {
+		eng.Submit(ctx, func(ctx context.Context) {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			rows[i], errs[i] = Table5BenchCtx(ctx, w, sc, runs)
+			rows[i], errs[i] = Table5BenchCtx(ctx, eng, w, sc, runs)
 			if errs[i] != nil {
 				cancel()
 			}
-		}(i, w)
+		})
 	}
 	wg.Wait()
 	// Report the first genuine failure, not a secondary cancellation it

@@ -162,6 +162,8 @@ type AdviseResponse struct {
 	Reports []AdviceJSON `json:"reports"`
 }
 
+func (r ProfileRequest) timeoutMS() int64 { return r.TimeoutMS }
+
 // RunRequest is the body of POST /v1/run and the payload of "run" jobs.
 type RunRequest struct {
 	SourceSpec
@@ -169,6 +171,8 @@ type RunRequest struct {
 	// Parallel executes spawn statements on goroutines.
 	Parallel bool `json:"parallel,omitempty"`
 }
+
+func (r RunRequest) timeoutMS() int64 { return r.TimeoutMS }
 
 // RunResponse carries the per-job execution outcomes.
 type RunResponse struct {
@@ -203,29 +207,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeDecodeError(w, err)
 		return
 	}
-	name, src := req.Name, req.Source
-	if req.Workload != "" {
-		if req.Source != "" {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, "request has both source and workload; pick one")
-			return
-		}
-		wl, err := progs.ByName(req.Workload)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-			return
-		}
-		name, src = wl.Name+".mc", wl.Source
-	} else if src == "" {
-		httpError(w, http.StatusBadRequest, CodeBadRequest, "request needs source or workload")
-		return
-	}
-	if name == "" {
-		name = "request.mc"
-	}
-	prog, err := s.eng.CompileWith(r.Context(), name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
+	name, prog, _, err := s.prepare(r.Context(), SourceSpec{
+		Name: req.Name, Source: req.Source, Workload: req.Workload, Optimize: req.Optimize,
+	}, nil)
 	if err != nil {
-		s.writeExecError(w, userErr(err))
+		s.writeExecError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, CompileResponse{
@@ -235,106 +221,67 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
+// handleWork serves one synchronous work endpoint: authentication,
+// rate limit, admission, and the request's deadline around work.
+func handleWork[Req interface{ timeoutMS() int64 }, Resp any](s *Server, work func(*Server, context.Context, Req, progressSink) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		cl, ok := s.authn(w, r)
+		if !ok || !s.allowRate(w, cl) {
+			return
+		}
+		var req Req
+		if err := decodeJSON(r, &req); err != nil {
+			s.writeDecodeError(w, err)
+			return
+		}
+		timeout := s.timeoutFor(req.timeoutMS())
+		release, ok := s.admitClient(w, cl, timeout)
+		if !ok {
+			return
+		}
+		defer release()
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		resp, err := work(s, ctx, req, nil)
+		if err != nil {
+			s.writeExecError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	var req ProfileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.profile(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
-	}
-	var req ProfileRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.advise(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	cl, ok := s.authn(w, r)
-	if !ok || !s.allowRate(w, cl) {
-		return
-	}
-	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	timeout := s.timeoutFor(req.TimeoutMS)
-	release, ok := s.admitClient(w, cl, timeout)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := s.run(ctx, req, nil)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---------- work execution (shared by sync handlers and async jobs) ----------
 
-// profile compiles and profiles the request's input suite on the shared
-// engine, reporting per-batch-job progress into sink.
-func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressSink) (*ProfileResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
+// prepare resolves and compiles the request's source on the shared
+// engine and returns one ProfileJob per input, carrying the memory size
+// and reporting per-batch-job progress into sink.
+func (s *Server) prepare(ctx context.Context, spec SourceSpec, sink progressSink) (string, *alchemist.Program, []alchemist.ProfileJob, error) {
+	name, src, jobs, memWords, err := spec.resolve()
 	if err != nil {
-		return nil, userErr(err)
+		return "", nil, nil, userErr(err)
 	}
 	prog, err := s.eng.CompileWith(ctx, name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
+		alchemist.CompileOptions{Optimize: spec.Optimize})
 	if err != nil {
-		return nil, userErr(err)
+		return "", nil, nil, userErr(err)
 	}
-	for i := range pjobs {
-		pjobs[i].Config = &alchemist.ProfileConfig{
+	for i := range jobs {
+		jobs[i].Config = &alchemist.ProfileConfig{
 			RunConfig: alchemist.RunConfig{MemWords: memWords},
 		}
 		if sink != nil {
-			i := i
-			pjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
+			jobs[i].OnProgress = func(steps int64) { sink(i, steps) }
 		}
+	}
+	return name, prog, jobs, nil
+}
+
+// profile profiles the request's input suite and merges the profiles.
+func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressSink) (*ProfileResponse, error) {
+	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
+	if err != nil {
+		return nil, err
 	}
 	merged, results, err := s.eng.ProfileBatch(ctx, prog, pjobs)
 	if err != nil {
@@ -356,23 +303,9 @@ func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressS
 
 // advise is profile plus the advisor pass.
 func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSink) (*AdviseResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
+	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
 	if err != nil {
-		return nil, userErr(err)
-	}
-	prog, err := s.eng.CompileWith(ctx, name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
-	if err != nil {
-		return nil, userErr(err)
-	}
-	for i := range pjobs {
-		pjobs[i].Config = &alchemist.ProfileConfig{
-			RunConfig: alchemist.RunConfig{MemWords: memWords},
-		}
-		if sink != nil {
-			i := i
-			pjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
-		}
+		return nil, err
 	}
 	merged, _, err := s.eng.ProfileBatch(ctx, prog, pjobs)
 	if err != nil {
@@ -405,27 +338,17 @@ func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSi
 }
 
 // run executes the request's input suite uninstrumented via the
-// engine's RunBatch fan-out.
+// engine's RunBatch.
 func (s *Server) run(ctx context.Context, req RunRequest, sink progressSink) (*RunResponse, error) {
-	name, src, pjobs, memWords, err := req.resolve()
+	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
 	if err != nil {
-		return nil, userErr(err)
-	}
-	prog, err := s.eng.CompileWith(ctx, name, src,
-		alchemist.CompileOptions{Optimize: req.Optimize})
-	if err != nil {
-		return nil, userErr(err)
+		return nil, err
 	}
 	rjobs := make([]alchemist.RunJob, len(pjobs))
 	for i, pj := range pjobs {
-		rjobs[i] = alchemist.RunJob{
-			Input:  pj.Input,
-			Config: &alchemist.RunConfig{MemWords: memWords, Parallel: req.Parallel},
-		}
-		if sink != nil {
-			i := i
-			rjobs[i].OnProgress = func(steps int64) { sink(i, steps) }
-		}
+		cfg := pj.Config.RunConfig
+		cfg.Parallel = req.Parallel
+		rjobs[i] = alchemist.RunJob{Input: pj.Input, Config: &cfg, OnProgress: pj.OnProgress}
 	}
 	results, err := s.eng.RunBatch(ctx, prog, rjobs)
 	if err != nil {
@@ -546,10 +469,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status(false))
 }
 
-// startJob runs the job on its own goroutine, holding the admission
-// slot until it finishes. The job's deadline hangs off the server's
-// lifetime context, not the creating request: the client can disconnect
-// and poll later.
+// startJob submits the job to the engine's run queue as one unit,
+// holding the admission slot until it finishes. The job turns running,
+// and its queue span ends, when the unit gets a worker slot; a job
+// whose deadline or cancellation comes first fails straight from
+// queued. The job's deadline hangs off the server's lifetime context,
+// not the creating request: the client can disconnect and poll later.
 func (s *Server) startJob(j *job, req JobRequest, release func()) {
 	ctx, cancel := context.WithTimeout(s.lifeCtx, s.timeoutFor(req.TimeoutMS))
 	if j.trace.Valid() {
@@ -560,6 +485,10 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 		ctx = xtrace.ContextWithSpanContext(ctx, j.trace)
 		ctx = xtrace.ContextWithRecorder(ctx, j)
 	}
+	// pprof labels travel in the context to the unit's goroutine and on
+	// to every engine worker it queues, attributing their CPU samples
+	// to the job id and endpoint.
+	ctx = pprof.WithLabels(ctx, pprof.Labels("job_id", j.id, "endpoint", j.kind))
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
@@ -567,22 +496,19 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 		j.reportProgress(batchJob, steps, s.opts.ProgressInterval)
 	}
 	s.jobWG.Add(1)
-	go func() {
+	s.eng.Submit(ctx, func(ctx context.Context) {
 		defer s.jobWG.Done()
 		defer release()
 		defer cancel()
-		// pprof labels attribute CPU samples from this job — and from
-		// the engine worker goroutines it fans out to, which inherit
-		// the labels — back to the job id and endpoint.
-		pprof.Do(ctx, pprof.Labels("job_id", j.id, "endpoint", j.kind), func(ctx context.Context) {
-			queuedAt := j.created
+		pprof.SetGoroutineLabels(ctx)
+		var result any
+		err := ctx.Err()
+		if err == nil {
 			j.setRunning()
 			if j.trace.Valid() {
 				j.RecordSpan(xtrace.MakeRecord(j.trace.TraceID, j.trace.SpanID,
-					"queue", queuedAt, time.Now(), nil))
+					"queue", j.created, time.Now(), nil))
 			}
-			var result any
-			var err error
 			switch j.kind {
 			case "profile":
 				result, err = s.profile(ctx, ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
@@ -591,10 +517,10 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 			case "run":
 				result, err = s.run(ctx, RunRequest{SourceSpec: req.SourceSpec, Parallel: req.Parallel}, sink)
 			}
-			j.finish(result, err)
-			s.sm.jobsActive.Add(-1)
-		})
-	}()
+		}
+		j.finish(result, err)
+		s.sm.jobsActive.Add(-1)
+	})
 }
 
 // JobListResponse is the paginated body of GET /v1/jobs.

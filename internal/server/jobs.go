@@ -13,11 +13,14 @@ import (
 	"alchemist/internal/xtrace"
 )
 
-// JobState is the lifecycle of an async job. Transitions are strictly
-// queued → running → (succeeded | failed); failed covers errors,
-// deadline expiry, and cancellation. A job that the journal shows as
-// queued or running after a crash is recovered as interrupted (or
-// re-enqueued when the server opts into requeue-on-recovery).
+// JobState is the lifecycle of an async job: queued until its unit in
+// the engine's run queue gets a worker slot, running from then on.
+// Transitions are strictly queued → running → (succeeded | failed), or
+// queued → failed when the deadline or a cancellation comes first;
+// failed covers errors, deadline expiry, and cancellation. A job that
+// the journal shows as queued or running after a crash is recovered as
+// interrupted (or re-enqueued when the server opts into
+// requeue-on-recovery).
 type JobState string
 
 const (
@@ -196,7 +199,8 @@ func (j *job) wake() {
 	j.mu.Unlock()
 }
 
-// setRunning transitions queued → running.
+// setRunning transitions queued → running, when the job's unit gets a
+// worker slot.
 func (j *job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()

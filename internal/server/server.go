@@ -477,9 +477,9 @@ func (s *Server) Recovery() RecoveryStats { return s.rec }
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/profile", s.instrument("profile", s.handleProfile))
-	mux.HandleFunc("POST /v1/advise", s.instrument("advise", s.handleAdvise))
-	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleRun))
+	mux.HandleFunc("POST /v1/profile", s.instrument("profile", handleWork(s, (*Server).profile)))
+	mux.HandleFunc("POST /v1/advise", s.instrument("advise", handleWork(s, (*Server).advise)))
+	mux.HandleFunc("POST /v1/run", s.instrument("run", handleWork(s, (*Server).run)))
 	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_create", s.handleJobCreate))
 	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("job_get", s.handleJobGet))

@@ -345,6 +345,60 @@ func TestAsyncJobLifecycleAndResult(t *testing.T) {
 	}
 }
 
+// TestQueuedJobWaitsForWorker: with the engine's only worker busy, a
+// second job stays queued, with no running event, until the first
+// job's unit releases the worker; then it runs to completion.
+func TestQueuedJobWaitsForWorker(t *testing.T) {
+	s, ts := newTestServer(t, func(o *Options) {
+		o.Engine = alchemist.NewEngine(alchemist.WithWorkers(1))
+	})
+	create := func(body string) JobStatus {
+		t.Helper()
+		resp, out := post(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("create = %d: %s", resp.StatusCode, out)
+		}
+		var st JobStatus
+		if err := json.Unmarshal([]byte(out), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	blocker := create(fmt.Sprintf(`{"kind":"run","source":%q,"timeout_ms":30000}`, foreverSrc))
+	waitRunning(t, ts.URL, blocker.ID)
+	second := create(fmt.Sprintf(`{"kind":"run","source":%q}`, tinySrc))
+
+	time.Sleep(200 * time.Millisecond)
+	j := s.store.get(second.ID)
+	j.mu.Lock()
+	state, events := j.state, append([]Event(nil), j.events...)
+	j.mu.Unlock()
+	if state != JobQueued || len(events) != 1 || events[0].State != JobQueued {
+		t.Fatalf("second job with the worker busy: state %s, events %+v; want queued only", state, events)
+	}
+
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+blocker.ID, "")
+	b := waitState(t, ts.URL, blocker.ID)
+	got := waitState(t, ts.URL, second.ID)
+	if got.State != JobSucceeded {
+		t.Fatalf("second job %s (%s), want succeeded", got.State, got.Error)
+	}
+	if got.StartedAt == nil || got.StartedAt.Before(*b.FinishedAt) {
+		t.Errorf("second job started at %v, before the blocker finished at %v", got.StartedAt, b.FinishedAt)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var states []JobState
+	for _, ev := range j.events {
+		if ev.Type == "state" {
+			states = append(states, ev.State)
+		}
+	}
+	if fmt.Sprint(states) != fmt.Sprint([]JobState{JobQueued, JobRunning, JobSucceeded}) {
+		t.Errorf("second job state events %v, want [queued running succeeded]", states)
+	}
+}
+
 // parseSSE reads a full SSE stream into events.
 func parseSSE(t *testing.T, r io.Reader) []Event {
 	t.Helper()

@@ -16,7 +16,7 @@ func loadTestdata(t *testing.T, name string) *alchemist.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := alchemist.Compile(name, string(data))
+	prog, err := testEngine.Compile(bg, name, string(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTestdataGoldens(t *testing.T) {
 		{"collatz.mc", []int64{1000}, []int64{871, 178}},
 	}
 	for _, tc := range cases {
-		res, err := loadTestdata(t, tc.file).Run(alchemist.RunConfig{Input: tc.input})
+		res, err := testEngine.Run(bg, loadTestdata(t, tc.file), alchemist.RunConfig{Input: tc.input})
 		if err != nil {
 			t.Errorf("%s: %v", tc.file, err)
 			continue
@@ -64,7 +64,7 @@ func TestTestdataSort(t *testing.T) {
 		}
 		input = append(input, seed%100000)
 	}
-	res, err := loadTestdata(t, "sort.mc").Run(alchemist.RunConfig{Input: input})
+	res, err := testEngine.Run(bg, loadTestdata(t, "sort.mc"), alchemist.RunConfig{Input: input})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +91,15 @@ func TestTestdataSort(t *testing.T) {
 // execution modes and demands identical results.
 func TestTestdataMatmulModes(t *testing.T) {
 	input := []int64{48}
-	seq, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input})
+	seq, err := testEngine.Run(bg, loadTestdata(t, "matmul.mc"), alchemist.RunConfig{Input: input})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input, SimWorkers: 4})
+	sim, err := testEngine.Run(bg, loadTestdata(t, "matmul.mc"), alchemist.RunConfig{Input: input, SimWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := loadTestdata(t, "matmul.mc").Run(alchemist.RunConfig{Input: input, Parallel: true})
+	par, err := testEngine.Run(bg, loadTestdata(t, "matmul.mc"), alchemist.RunConfig{Input: input, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTestdataMatmulModes(t *testing.T) {
 // detection: matmul's band() must be a future candidate, the sieve's
 // inner marking loop must not.
 func TestTestdataProfiles(t *testing.T) {
-	profile, _, err := loadTestdata(t, "matmul.mc").Profile(alchemist.ProfileConfig{
+	profile, _, err := testEngine.Profile(bg, loadTestdata(t, "matmul.mc"), alchemist.ProfileConfig{
 		RunConfig: alchemist.RunConfig{Input: []int64{48}},
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestTestdataProfiles(t *testing.T) {
 		}
 	}
 
-	sieveProf, _, err := loadTestdata(t, "sieve.mc").Profile(alchemist.ProfileConfig{
+	sieveProf, _, err := testEngine.Profile(bg, loadTestdata(t, "sieve.mc"), alchemist.ProfileConfig{
 		RunConfig: alchemist.RunConfig{Input: []int64{2000}},
 	})
 	if err != nil {
