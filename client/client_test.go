@@ -2,32 +2,15 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"alchemist"
-	"alchemist/internal/server"
 )
-
-const loopSrc = `
-int main() {
-	int n = in(0);
-	int s = 0;
-	for (int i = 0; i < n; i++) {
-		s += i;
-	}
-	out(s);
-	return 0;
-}
-`
 
 // instantSleep makes the client's backoff schedule take zero wall time
 // while still recording what it would have slept.
@@ -39,27 +22,6 @@ func instantSleep(c *Client, record *[]time.Duration) {
 		mu.Unlock()
 		return ctx.Err()
 	}
-}
-
-func newRealServer(t *testing.T, mod func(*server.Options)) *httptest.Server {
-	t.Helper()
-	opts := server.Options{
-		Engine:           alchemist.NewEngine(alchemist.WithWorkers(2)),
-		ProgressInterval: -1,
-	}
-	if mod != nil {
-		mod(&opts)
-	}
-	s, err := server.New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return ts
 }
 
 func TestRetriesTransientThenSucceeds(t *testing.T) {
@@ -210,106 +172,6 @@ func TestBackoffHonorsHintAsFloor(t *testing.T) {
 	}
 }
 
-func TestSubmitAndWaitAgainstRealServer(t *testing.T) {
-	ts := newRealServer(t, nil)
-	c := New(ts.URL)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st, err := c.SubmitAndWait(ctx, JobRequest{
-		Kind:       "run",
-		SourceSpec: SourceSpec{Name: "loop", Source: loopSrc, Inputs: [][]int64{{1000}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != JobSucceeded {
-		t.Fatalf("state = %s (err %q), want succeeded", st.State, st.Error)
-	}
-	if len(st.Result) == 0 {
-		t.Fatal("terminal status has no result payload")
-	}
-	var res RunResponse
-	if err := json.Unmarshal(st.Result, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != 1 || len(res.Runs) != 1 || res.Runs[0].Output[0] != 499500 {
-		t.Fatalf("result = %+v, want one run with output 499500", res)
-	}
-}
-
-func TestStreamEventsOrderedAndTerminates(t *testing.T) {
-	ts := newRealServer(t, nil)
-	c := New(ts.URL)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st, err := c.SubmitJob(ctx, JobRequest{
-		Kind:       "run",
-		SourceSpec: SourceSpec{Name: "loop", Source: loopSrc, Inputs: [][]int64{{5000}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	es := c.StreamEvents(st.ID, 0)
-	defer es.Close()
-	want := 0
-	sawTerminal := false
-	for {
-		ev, err := es.Next(ctx)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Seq != want {
-			t.Fatalf("event seq = %d, want %d (gap or duplicate)", ev.Seq, want)
-		}
-		want++
-		if ev.Terminal() {
-			sawTerminal = true
-		}
-	}
-	if !sawTerminal {
-		t.Fatal("stream ended without a terminal event")
-	}
-	if want == 0 {
-		t.Fatal("stream delivered no events")
-	}
-	// After EOF the stream stays EOF.
-	if _, err := es.Next(ctx); !errors.Is(err, io.EOF) {
-		t.Fatalf("post-terminal Next = %v, want io.EOF", err)
-	}
-}
-
-func TestStreamEventsResumeFromSeq(t *testing.T) {
-	ts := newRealServer(t, nil)
-	c := New(ts.URL)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	st, err := c.SubmitAndWait(ctx, JobRequest{
-		Kind:       "run",
-		SourceSpec: SourceSpec{Name: "loop", Source: loopSrc, Inputs: [][]int64{{1000}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume from seq 1: event 0 must not be replayed to us.
-	es := c.StreamEvents(st.ID, 1)
-	defer es.Close()
-	first, err := es.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Seq != 1 {
-		t.Fatalf("resumed stream first seq = %d, want 1", first.Seq)
-	}
-}
-
 func TestWaitJobPollFallback(t *testing.T) {
 	// A server whose events endpoint always 404s (no SSE support), to
 	// force WaitJob onto the polling path.
@@ -346,5 +208,24 @@ func TestWaitJobPollFallback(t *testing.T) {
 	}
 	if polls < 3 {
 		t.Fatalf("polls = %d, want >= 3", polls)
+	}
+}
+
+func TestStreamEventsEscapesJobID(t *testing.T) {
+	paths := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths <- r.URL.EscapedPath()
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"error":{"code":"job_not_found","message":"nope"}}`)
+	}))
+	defer ts.Close()
+
+	es := New(ts.URL).StreamEvents("a/b?c", 0)
+	defer es.Close()
+	if _, err := es.Next(context.Background()); err == nil {
+		t.Fatal("Next against a 404 returned no error")
+	}
+	if got, want := <-paths, "/v1/jobs/a%2Fb%3Fc/events"; got != want {
+		t.Errorf("events path = %q, want %q", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -128,7 +129,7 @@ func (es *EventStream) next1(ctx context.Context) (Event, error) {
 
 // connect opens the SSE response, resuming from es.next.
 func (es *EventStream) connect(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, es.c.base+"/v1/jobs/"+es.jobID+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, es.c.base+"/v1/jobs/"+url.PathEscape(es.jobID)+"/events", nil)
 	if err != nil {
 		return err
 	}

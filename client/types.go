@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// The wire types mirror the server's v1 JSON surface. They are defined
-// here (rather than shared with internal/server) so that importing the
-// SDK never leaks an internal package into a consumer's API.
+// These types are the v1 wire contract. They are declared here and the
+// server encodes and decodes them directly, so the SDK exposes no
+// internal package and the two sides of the API cannot drift apart.
 
 // SourceSpec names the program and input suite a request operates on:
 // either inline mini-C source (with optional explicit input streams) or
 // an embedded workload (with optional input scales).
 type SourceSpec struct {
-	// Name labels inline source in diagnostics.
+	// Name labels inline source in diagnostics (default "request.mc").
 	Name string `json:"name,omitempty"`
 	// Source is inline mini-C source text. Exactly one of Source /
 	// Workload must be set.
@@ -24,7 +24,8 @@ type SourceSpec struct {
 	// Inputs are explicit input streams, one batch job per stream
 	// (inline source only).
 	Inputs [][]int64 `json:"inputs,omitempty"`
-	// Scales are workload input scales, one batch job per scale.
+	// Scales are workload input scales, one batch job per scale
+	// (0 = the paper default).
 	Scales []int `json:"scales,omitempty"`
 	// Optimize compiles with the optimization passes.
 	Optimize bool `json:"optimize,omitempty"`
@@ -124,7 +125,11 @@ type JobRequest struct {
 	Parallel  bool  `json:"parallel,omitempty"`
 }
 
-// JobState is the lifecycle of an async job.
+// JobState is the lifecycle of an async job: queued until it gets a
+// worker, then running, then succeeded or failed (a deadline or
+// cancellation can fail it straight from queued). A job that was queued
+// or running when the server crashed is recovered as interrupted, or
+// re-enqueued when the server is configured to.
 type JobState string
 
 const (
@@ -161,15 +166,15 @@ type JobStatus struct {
 	// Result is the job's result payload (kind-dependent shape), set on
 	// succeeded jobs fetched via Job / SubmitAndWait.
 	Result json.RawMessage `json:"result,omitempty"`
-	// IdempotentReplay marks a submission that was answered with an
-	// existing job via its Idempotency-Key.
-	IdempotentReplay bool `json:"idempotent_replay,omitempty"`
 	// TraceID is the W3C trace ID the job's span timeline records under
 	// (the submitting request's trace, when it carried one).
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans counts timeline entries recorded so far; fetch them with
 	// JobTrace.
 	Spans int `json:"spans,omitempty"`
+	// IdempotentReplay marks a submission that was answered with an
+	// existing job via its Idempotency-Key.
+	IdempotentReplay bool `json:"idempotent_replay,omitempty"`
 }
 
 // SpanRecord is one finished span in a job's trace timeline.

@@ -230,7 +230,8 @@ func (s *Server) admitClient(w http.ResponseWriter, cl *clientState, timeout tim
 	release, ok := s.tryAdmit()
 	if !ok {
 		s.adm.release(cl)
-		s.writeBusy(w)
+		s.writeRetryable(w, http.StatusTooManyRequests, s.opts.RetryAfter, CodeQueueSaturated,
+			"admission queue full (%d slots); retry after %s", s.opts.QueueDepth, s.opts.RetryAfter)
 		return nil, false
 	}
 	s.sm.admitted.Inc()

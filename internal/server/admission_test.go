@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"alchemist/client"
 )
 
 func doKeyed(t *testing.T, method, url, key, body string) (*http.Response, string) {
@@ -35,7 +37,7 @@ func doKeyed(t *testing.T, method, url, key, body string) (*http.Response, strin
 
 // streamEvents replays a finished job's SSE stream, optionally resuming
 // with a Last-Event-ID header, and parses the events.
-func streamEvents(t *testing.T, base, id, lastEventID string) []Event {
+func streamEvents(t *testing.T, base, id, lastEventID string) []client.Event {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
@@ -267,7 +269,7 @@ func TestSSEResumeWithLastEventID(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if fin := waitState(t, ts.URL, st.ID); fin.State != JobSucceeded {
+	if fin := waitState(t, ts.URL, st.ID); fin.State != client.JobSucceeded {
 		t.Fatalf("job finished %s, want succeeded", fin.State)
 	}
 

@@ -14,42 +14,30 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/client"
 	"alchemist/internal/obs"
 	"alchemist/internal/progs"
 	"alchemist/internal/report"
 	"alchemist/internal/xtrace"
 )
 
-// SourceSpec names the program and input suite a request operates on:
-// either inline mini-C source (with optional explicit input streams) or
-// an embedded workload (with optional input scales). One profiling /
-// run job is created per input stream or scale; with neither, a single
-// job with the default input.
-type SourceSpec struct {
-	// Name labels inline source in diagnostics (default "request.mc").
-	Name string `json:"name,omitempty"`
-	// Source is inline mini-C source text.
-	Source string `json:"source,omitempty"`
-	// Workload selects an embedded workload instead (see GET /healthz
-	// or `alchemist list` for names). Exactly one of Source / Workload
-	// must be set.
-	Workload string `json:"workload,omitempty"`
-	// Inputs are explicit input streams, one batch job per stream
-	// (inline source only).
-	Inputs [][]int64 `json:"inputs,omitempty"`
-	// Scales are workload input scales, one batch job per scale
-	// (0 = the paper default; workloads only).
-	Scales []int `json:"scales,omitempty"`
-	// Optimize compiles with the optimization passes.
-	Optimize bool `json:"optimize,omitempty"`
-	// MemWords overrides the VM memory size (inline source only;
-	// workloads bring their own).
-	MemWords int64 `json:"mem_words,omitempty"`
-}
+// The v1 wire types are declared once, in alchemist/client. These
+// aliases keep the names the benchmark harness imports from this
+// package.
+type (
+	SourceSpec     = client.SourceSpec
+	CompileRequest = client.CompileRequest
+	ProfileRequest = client.ProfileRequest
+	RunRequest     = client.RunRequest
+	RunSummary     = client.RunSummary
+	AdviceItem     = client.AdviceItem
+	AdviceJSON     = client.AdviceReport
+)
 
-// resolve turns the spec into a compile unit plus one ProfileJob per
-// input. All failures are user errors.
-func (sp SourceSpec) resolve() (name, src string, jobs []alchemist.ProfileJob, memWords int64, err error) {
+// resolveSpec turns the spec into a compile unit plus one ProfileJob
+// per input: one per input stream or scale, or a single job with the
+// default input when there are neither. All failures are user errors.
+func resolveSpec(sp client.SourceSpec) (name, src string, jobs []alchemist.ProfileJob, memWords int64, err error) {
 	switch {
 	case sp.Workload != "" && sp.Source != "":
 		return "", "", nil, 0, errors.New("request has both source and workload; pick one")
@@ -90,106 +78,14 @@ func (sp SourceSpec) resolve() (name, src string, jobs []alchemist.ProfileJob, m
 	}
 }
 
-// CompileRequest is the body of POST /v1/compile.
-type CompileRequest struct {
-	Name     string `json:"name,omitempty"`
-	Source   string `json:"source,omitempty"`
-	Workload string `json:"workload,omitempty"`
-	Optimize bool   `json:"optimize,omitempty"`
-}
-
-// CompileResponse reports the compiled program's shape. Compiling
-// through the API warms the engine's program cache, so a later profile
-// of the same source skips the pipeline.
-type CompileResponse struct {
-	Name         string `json:"name"`
-	Functions    int    `json:"functions"`
-	Instructions int    `json:"instructions"`
-}
-
-// ProfileRequest is the body of POST /v1/profile and the payload of
-// "profile"/"advise" jobs.
-type ProfileRequest struct {
-	SourceSpec
-	// TimeoutMS bounds the work's wall-clock time (default: the
-	// server's DefaultTimeout, clamped to MaxTimeout).
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Top truncates the response to the N hottest constructs (0 = all).
-	Top int `json:"top,omitempty"`
-}
-
-// RunSummary is one batch job's execution outcome.
-type RunSummary struct {
-	Job   int   `json:"job"`
-	Steps int64 `json:"steps"`
-	Ret   int64 `json:"ret"`
-	// Output holds up to 64 words of out() output; OutputLen is the
-	// full length.
-	Output    []int64 `json:"output,omitempty"`
-	OutputLen int     `json:"output_len"`
-}
-
-// ProfileResponse carries the union profile over the input suite.
+// ProfileResponse carries the union profile over the input suite. It
+// stays server-side because the server encodes a typed profile, while
+// client.ProfileResponse leaves it raw.
 type ProfileResponse struct {
 	Name    string              `json:"name"`
 	Jobs    int                 `json:"jobs"`
 	Profile *report.JSONProfile `json:"profile"`
-	Runs    []RunSummary        `json:"runs"`
-}
-
-// AdviceItem is one transformation suggestion.
-type AdviceItem struct {
-	Action string `json:"action"`
-	Text   string `json:"text"`
-}
-
-// AdviceJSON is the advisor's judgment of one construct.
-type AdviceJSON struct {
-	Label          int          `json:"label"`
-	Name           string       `json:"name"`
-	Kind           string       `json:"kind"`
-	Line           int          `json:"line"`
-	Func           string       `json:"func"`
-	Parallelizable bool         `json:"parallelizable"`
-	Score          float64      `json:"score"`
-	Advice         []AdviceItem `json:"advice"`
-}
-
-// AdviseResponse is the ranked guidance for the profiled suite.
-type AdviseResponse struct {
-	Name    string       `json:"name"`
-	Jobs    int          `json:"jobs"`
-	Reports []AdviceJSON `json:"reports"`
-}
-
-func (r ProfileRequest) timeoutMS() int64 { return r.TimeoutMS }
-
-// RunRequest is the body of POST /v1/run and the payload of "run" jobs.
-type RunRequest struct {
-	SourceSpec
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallel executes spawn statements on goroutines.
-	Parallel bool `json:"parallel,omitempty"`
-}
-
-func (r RunRequest) timeoutMS() int64 { return r.TimeoutMS }
-
-// RunResponse carries the per-job execution outcomes.
-type RunResponse struct {
-	Name string       `json:"name"`
-	Jobs int          `json:"jobs"`
-	Runs []RunSummary `json:"runs"`
-}
-
-// JobRequest is the body of POST /v1/jobs: the union of the sync
-// request shapes plus the kind discriminator.
-type JobRequest struct {
-	// Kind selects the work: "profile", "advise", or "run".
-	Kind string `json:"kind"`
-	SourceSpec
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Top       int   `json:"top,omitempty"`
-	Parallel  bool  `json:"parallel,omitempty"`
+	Runs    []client.RunSummary `json:"runs"`
 }
 
 // progressSink receives batch-job step reports; nil discards them.
@@ -202,19 +98,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok || !s.allowRate(w, cl) {
 		return
 	}
-	var req CompileRequest
+	var req client.CompileRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
-	name, prog, _, err := s.prepare(r.Context(), SourceSpec{
+	name, prog, _, err := s.prepare(r.Context(), client.SourceSpec{
 		Name: req.Name, Source: req.Source, Workload: req.Workload, Optimize: req.Optimize,
 	}, nil)
 	if err != nil {
 		s.writeExecError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CompileResponse{
+	writeJSON(w, http.StatusOK, client.CompileResponse{
 		Name:         name,
 		Functions:    len(prog.IR().Funcs),
 		Instructions: prog.IR().NumPCs,
@@ -223,7 +119,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // handleWork serves one synchronous work endpoint: authentication,
 // rate limit, admission, and the request's deadline around work.
-func handleWork[Req interface{ timeoutMS() int64 }, Resp any](s *Server, work func(*Server, context.Context, Req, progressSink) (Resp, error)) http.HandlerFunc {
+func handleWork[Req, Resp any](s *Server, timeoutMS func(Req) int64, work func(*Server, context.Context, Req, progressSink) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		cl, ok := s.authn(w, r)
 		if !ok || !s.allowRate(w, cl) {
@@ -234,7 +130,7 @@ func handleWork[Req interface{ timeoutMS() int64 }, Resp any](s *Server, work fu
 			s.writeDecodeError(w, err)
 			return
 		}
-		timeout := s.timeoutFor(req.timeoutMS())
+		timeout := s.timeoutFor(timeoutMS(req))
 		release, ok := s.admitClient(w, cl, timeout)
 		if !ok {
 			return
@@ -251,13 +147,18 @@ func handleWork[Req interface{ timeoutMS() int64 }, Resp any](s *Server, work fu
 	}
 }
 
+// profileTimeout and runTimeout read a request's timeout_ms for
+// handleWork.
+func profileTimeout(r client.ProfileRequest) int64 { return r.TimeoutMS }
+func runTimeout(r client.RunRequest) int64         { return r.TimeoutMS }
+
 // ---------- work execution (shared by sync handlers and async jobs) ----------
 
 // prepare resolves and compiles the request's source on the shared
 // engine and returns one ProfileJob per input, carrying the memory size
 // and reporting per-batch-job progress into sink.
-func (s *Server) prepare(ctx context.Context, spec SourceSpec, sink progressSink) (string, *alchemist.Program, []alchemist.ProfileJob, error) {
-	name, src, jobs, memWords, err := spec.resolve()
+func (s *Server) prepare(ctx context.Context, spec client.SourceSpec, sink progressSink) (string, *alchemist.Program, []alchemist.ProfileJob, error) {
+	name, src, jobs, memWords, err := resolveSpec(spec)
 	if err != nil {
 		return "", nil, nil, userErr(err)
 	}
@@ -278,7 +179,7 @@ func (s *Server) prepare(ctx context.Context, spec SourceSpec, sink progressSink
 }
 
 // profile profiles the request's input suite and merges the profiles.
-func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressSink) (*ProfileResponse, error) {
+func (s *Server) profile(ctx context.Context, req client.ProfileRequest, sink progressSink) (*ProfileResponse, error) {
 	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
 	if err != nil {
 		return nil, err
@@ -302,7 +203,7 @@ func (s *Server) profile(ctx context.Context, req ProfileRequest, sink progressS
 }
 
 // advise is profile plus the advisor pass.
-func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSink) (*AdviseResponse, error) {
+func (s *Server) advise(ctx context.Context, req client.ProfileRequest, sink progressSink) (*client.AdviseResponse, error) {
 	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
 	if err != nil {
 		return nil, err
@@ -315,12 +216,12 @@ func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSi
 	if top <= 0 {
 		top = 8
 	}
-	resp := &AdviseResponse{Name: name, Jobs: len(pjobs)}
+	resp := &client.AdviseResponse{Name: name, Jobs: len(pjobs)}
 	for _, rep := range alchemist.Advise(merged) {
 		if len(resp.Reports) >= top {
 			break
 		}
-		aj := AdviceJSON{
+		aj := client.AdviceReport{
 			Label:          rep.Construct.Label,
 			Name:           report.ConstructName(rep.Construct),
 			Kind:           rep.Construct.Kind.String(),
@@ -330,7 +231,7 @@ func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSi
 			Score:          rep.Score,
 		}
 		for _, a := range rep.Advices {
-			aj.Advice = append(aj.Advice, AdviceItem{Action: a.Action.String(), Text: a.Text})
+			aj.Advice = append(aj.Advice, client.AdviceItem{Action: a.Action.String(), Text: a.Text})
 		}
 		resp.Reports = append(resp.Reports, aj)
 	}
@@ -339,7 +240,7 @@ func (s *Server) advise(ctx context.Context, req ProfileRequest, sink progressSi
 
 // run executes the request's input suite uninstrumented via the
 // engine's RunBatch.
-func (s *Server) run(ctx context.Context, req RunRequest, sink progressSink) (*RunResponse, error) {
+func (s *Server) run(ctx context.Context, req client.RunRequest, sink progressSink) (*client.RunResponse, error) {
 	name, prog, pjobs, err := s.prepare(ctx, req.SourceSpec, sink)
 	if err != nil {
 		return nil, err
@@ -354,7 +255,7 @@ func (s *Server) run(ctx context.Context, req RunRequest, sink progressSink) (*R
 	if err != nil {
 		return nil, err
 	}
-	resp := &RunResponse{Name: name, Jobs: len(rjobs)}
+	resp := &client.RunResponse{Name: name, Jobs: len(rjobs)}
 	for _, res := range results {
 		resp.Runs = append(resp.Runs, summarize(res.Job, res.Run))
 	}
@@ -362,8 +263,8 @@ func (s *Server) run(ctx context.Context, req RunRequest, sink progressSink) (*R
 }
 
 // summarize converts one run result to its wire form, capping output.
-func summarize(jobIdx int, res *alchemist.RunResult) RunSummary {
-	sum := RunSummary{Job: jobIdx}
+func summarize(jobIdx int, res *alchemist.RunResult) client.RunSummary {
+	sum := client.RunSummary{Job: jobIdx}
 	if res == nil {
 		return sum
 	}
@@ -411,7 +312,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeIdemReplay(w, j)
 		return
 	}
-	var req JobRequest
+	var req client.JobRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
@@ -424,7 +325,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate the source before paying for an admission slot, so typos
 	// fail fast with 400 rather than occupying the queue.
-	if _, _, _, _, err := req.resolve(); err != nil {
+	if _, _, _, _, err := resolveSpec(req.SourceSpec); err != nil {
 		httpError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
@@ -475,7 +376,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // whose deadline or cancellation comes first fails straight from
 // queued. The job's deadline hangs off the server's lifetime context,
 // not the creating request: the client can disconnect and poll later.
-func (s *Server) startJob(j *job, req JobRequest, release func()) {
+func (s *Server) startJob(j *job, req client.JobRequest, release func()) {
 	ctx, cancel := context.WithTimeout(s.lifeCtx, s.timeoutFor(req.TimeoutMS))
 	if j.trace.Valid() {
 		// Engine spans (compile cache hit/miss/coalesced, per-scale
@@ -511,24 +412,16 @@ func (s *Server) startJob(j *job, req JobRequest, release func()) {
 			}
 			switch j.kind {
 			case "profile":
-				result, err = s.profile(ctx, ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
+				result, err = s.profile(ctx, client.ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
 			case "advise":
-				result, err = s.advise(ctx, ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
+				result, err = s.advise(ctx, client.ProfileRequest{SourceSpec: req.SourceSpec, Top: req.Top}, sink)
 			case "run":
-				result, err = s.run(ctx, RunRequest{SourceSpec: req.SourceSpec, Parallel: req.Parallel}, sink)
+				result, err = s.run(ctx, client.RunRequest{SourceSpec: req.SourceSpec, Parallel: req.Parallel}, sink)
 			}
 		}
 		j.finish(result, err)
 		s.sm.jobsActive.Add(-1)
 	})
-}
-
-// JobListResponse is the paginated body of GET /v1/jobs.
-type JobListResponse struct {
-	Jobs []JobStatus `json:"jobs"`
-	// NextPageToken continues the listing when more jobs remain; pass
-	// it back as ?page_token=. Absent on the last page.
-	NextPageToken string `json:"next_page_token,omitempty"`
 }
 
 const (
@@ -540,7 +433,7 @@ const (
 // job. The ordering key is (created_at, id), which is stable: recovery
 // preserves creation times and ids, and retirement between pages only
 // removes rows.
-func encodeCursor(st JobStatus) string {
+func encodeCursor(st client.JobStatus) string {
 	return base64.RawURLEncoding.EncodeToString(
 		[]byte(fmt.Sprintf("v1:%d:%s", st.CreatedAt.UnixNano(), st.ID)))
 }
@@ -571,9 +464,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 
-	var filter JobState
+	var filter client.JobState
 	if st := q.Get("state"); st != "" {
-		filter = JobState(st)
+		filter = client.JobState(st)
 		if !validJobState(filter) {
 			httpError(w, http.StatusBadRequest, CodeBadRequest,
 				"unknown state %q (want queued, running, succeeded, failed, or interrupted)", st)
@@ -602,7 +495,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		hasCursor = true
 	}
 
-	out := JobListResponse{Jobs: make([]JobStatus, 0, limit)}
+	out := client.JobList{Jobs: make([]client.JobStatus, 0, limit)}
 	for _, j := range s.store.list() {
 		st := j.status(false)
 		if filter != "" && st.State != filter {
@@ -737,20 +630,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// JobTraceResponse is the body of GET /v1/jobs/{id}/trace: the job's
-// persisted span timeline, which survives restarts alongside the event
-// log.
-type JobTraceResponse struct {
-	ID      string   `json:"id"`
-	State   JobState `json:"state"`
-	TraceID string   `json:"trace_id,omitempty"`
-	// Spans is the timeline in recording order: admit, queue, compile,
-	// per-scale profile/run spans, journal appends, SSE deliveries.
-	Spans []xtrace.SpanRecord `json:"spans"`
-	// DroppedSpans counts spans discarded past the per-job cap.
-	DroppedSpans int `json:"dropped_spans,omitempty"`
-}
-
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authn(w, r); !ok {
 		return
@@ -761,12 +640,14 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	resp := JobTraceResponse{
+	resp := client.JobTrace{
 		ID:           j.id,
 		State:        j.state,
 		TraceID:      j.traceID(),
-		Spans:        append([]xtrace.SpanRecord(nil), j.spans...),
 		DroppedSpans: j.spansDropped,
+	}
+	for _, sp := range j.spans {
+		resp.Spans = append(resp.Spans, client.SpanRecord(sp))
 	}
 	j.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
@@ -812,22 +693,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // ---------- error mapping ----------
 
-// writeBusy answers 429 with the Retry-After backoff hint in both the
-// header and the error envelope.
-func (s *Server) writeBusy(w http.ResponseWriter) {
-	secs := int(s.opts.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, apiError{Error: ErrorBody{
-		Code: CodeQueueSaturated,
-		Message: fmt.Sprintf("admission queue full (%d slots); retry after %ds",
-			s.opts.QueueDepth, secs),
-		RetryAfterMS: s.opts.RetryAfter.Milliseconds(),
-	}})
-}
-
 // writeDecodeError maps body-parse failures: 413 for oversized bodies,
 // 400 otherwise.
 func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
@@ -860,8 +725,8 @@ func (s *Server) writeExecError(w http.ResponseWriter, err error) {
 // writeSSE writes one event in text/event-stream framing. The event
 // type doubles as the SSE event name so EventSource listeners can
 // subscribe per type; the JSON payload repeats it for plain readers.
-func writeSSE(w http.ResponseWriter, ev Event) error {
-	data, err := encodeEvent(ev)
+func writeSSE(w http.ResponseWriter, ev client.Event) error {
+	data, err := json.Marshal(ev) // single-line, as a data: field needs
 	if err != nil {
 		return err
 	}

@@ -9,64 +9,19 @@ import (
 	"sync"
 	"time"
 
+	"alchemist/client"
 	"alchemist/internal/obs"
 	"alchemist/internal/xtrace"
 )
 
-// JobState is the lifecycle of an async job: queued until its unit in
-// the engine's run queue gets a worker slot, running from then on.
-// Transitions are strictly queued → running → (succeeded | failed), or
-// queued → failed when the deadline or a cancellation comes first;
-// failed covers errors, deadline expiry, and cancellation. A job that
-// the journal shows as queued or running after a crash is recovered as
-// interrupted (or re-enqueued when the server opts into
-// requeue-on-recovery).
-type JobState string
-
-const (
-	JobQueued      JobState = "queued"
-	JobRunning     JobState = "running"
-	JobSucceeded   JobState = "succeeded"
-	JobFailed      JobState = "failed"
-	JobInterrupted JobState = "interrupted"
-)
-
-func (st JobState) terminal() bool {
-	return st == JobSucceeded || st == JobFailed || st == JobInterrupted
-}
-
 // validJobState reports whether s names a real state (for the list
 // endpoint's state= filter).
-func validJobState(s JobState) bool {
+func validJobState(s client.JobState) bool {
 	switch s {
-	case JobQueued, JobRunning, JobSucceeded, JobFailed, JobInterrupted:
+	case client.JobQueued, client.JobRunning, client.JobSucceeded, client.JobFailed, client.JobInterrupted:
 		return true
 	}
 	return false
-}
-
-// Event is one entry in a job's ordered event log, streamed to SSE
-// subscribers and replayed to late ones. Seq increases by one per event
-// within a job.
-type Event struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // "state" or "progress"
-	// State is set on "state" events.
-	State JobState `json:"state,omitempty"`
-	// Error carries the failure message on the terminal "failed" (or
-	// "interrupted") event.
-	Error string `json:"error,omitempty"`
-	// Job, Steps, and TotalSteps are set on "progress" events: the
-	// batch-job index that reported, its executed-step count, and the
-	// step total across every batch job so far.
-	Job        int   `json:"job,omitempty"`
-	Steps      int64 `json:"steps,omitempty"`
-	TotalSteps int64 `json:"total_steps,omitempty"`
-}
-
-// encodeEvent renders one event as its single-line SSE data payload.
-func encodeEvent(ev Event) ([]byte, error) {
-	return json.Marshal(ev)
 }
 
 // job is one async unit of work: its state machine, progress aggregate,
@@ -92,13 +47,13 @@ type job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	state    JobState
+	state    client.JobState
 	started  time.Time
 	finished time.Time
 	errMsg   string
 	result   json.RawMessage
 
-	events          []Event
+	events          []client.Event
 	progress        obs.Progress
 	lastProgressPub time.Time
 
@@ -149,7 +104,7 @@ func newJob(kind string, reqRaw json.RawMessage, idemKey string, wal *walWriter)
 		idemKey: idemKey,
 		reqRaw:  reqRaw,
 		wal:     wal,
-		state:   JobQueued,
+		state:   client.JobQueued,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -178,13 +133,13 @@ func (j *job) enqueue() {
 		Kind: j.kind, Request: j.reqRaw, IdemKey: j.idemKey,
 		TraceID: j.traceID(),
 	})
-	j.publishLocked(Event{Type: "state", State: JobQueued})
+	j.publishLocked(client.Event{Type: "state", State: client.JobQueued})
 }
 
 // publishLocked appends one event, wakes subscribers, and journals it.
 // Callers hold j.mu; the in-memory append happens before the journal
 // write so a snapshot of this job always covers its journaled records.
-func (j *job) publishLocked(ev Event) {
+func (j *job) publishLocked(ev client.Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
@@ -204,9 +159,9 @@ func (j *job) wake() {
 func (j *job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = JobRunning
+	j.state = client.JobRunning
 	j.started = time.Now()
-	j.publishLocked(Event{Type: "state", State: JobRunning})
+	j.publishLocked(client.Event{Type: "state", State: client.JobRunning})
 }
 
 // finish records the terminal state, result, and final progress
@@ -219,17 +174,17 @@ func (j *job) finish(result any, err error) {
 		j.progress.MarkDone(jp.Job)
 	}
 	if err != nil {
-		j.state = JobFailed
+		j.state = client.JobFailed
 		j.errMsg = err.Error()
-		j.publishLocked(Event{Type: "state", State: JobFailed, Error: j.errMsg})
+		j.publishLocked(client.Event{Type: "state", State: client.JobFailed, Error: j.errMsg})
 	} else {
-		j.state = JobSucceeded
+		j.state = client.JobSucceeded
 		if result != nil {
 			if raw, merr := json.Marshal(result); merr == nil {
 				j.result = raw
 			}
 		}
-		j.publishLocked(Event{Type: "state", State: JobSucceeded})
+		j.publishLocked(client.Event{Type: "state", State: client.JobSucceeded})
 	}
 	walStart := time.Now()
 	j.wal.append(walRecord{
@@ -258,13 +213,13 @@ func (j *job) traceID() string {
 func (j *job) interrupt(reason string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		return
 	}
-	j.state = JobInterrupted
+	j.state = client.JobInterrupted
 	j.errMsg = reason
 	j.finished = time.Now()
-	j.publishLocked(Event{Type: "state", State: JobInterrupted, Error: reason})
+	j.publishLocked(client.Event{Type: "state", State: client.JobInterrupted, Error: reason})
 	j.wal.append(walRecord{
 		Type: recDone, ID: j.id, At: j.finished,
 		StartedAt: j.started, FinishedAt: j.finished, Error: reason,
@@ -276,9 +231,9 @@ func (j *job) interrupt(reason string) {
 func (j *job) requeue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = JobQueued
+	j.state = client.JobQueued
 	j.started = time.Time{}
-	j.publishLocked(Event{Type: "state", State: JobQueued})
+	j.publishLocked(client.Event{Type: "state", State: client.JobQueued})
 }
 
 // reportProgress feeds one batch job's step report into the progress
@@ -288,7 +243,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 	j.progress.Update(batchJob, steps)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		// A worker's final report can race the terminal event; the
 		// event log must not grow after it.
 		return
@@ -298,7 +253,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 		return
 	}
 	j.lastProgressPub = now
-	j.publishLocked(Event{
+	j.publishLocked(client.Event{
 		Type:       "progress",
 		Job:        batchJob,
 		Steps:      steps,
@@ -312,7 +267,7 @@ func (j *job) reportProgress(batchJob int, steps int64, minGap time.Duration) {
 // completes the log of a terminated job (the stream can end), and
 // whether it gave up on the wait — the SSE handler's cue to emit a
 // keepalive comment.
-func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) ([]Event, bool, bool) {
+func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) ([]client.Event, bool, bool) {
 	var deadline time.Time
 	if maxWait > 0 {
 		deadline = time.Now().Add(maxWait)
@@ -323,7 +278,7 @@ func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) 
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.events) <= after && !j.state.terminal() && ctx.Err() == nil {
+	for len(j.events) <= after && !j.state.Terminal() && ctx.Err() == nil {
 		if maxWait > 0 && !time.Now().Before(deadline) {
 			return nil, false, true
 		}
@@ -332,49 +287,31 @@ func (j *job) waitEvents(ctx context.Context, after int, maxWait time.Duration) 
 	if after >= len(j.events) {
 		// A resumed subscriber can ask for events past the end of a
 		// terminated log; there is nothing left to send.
-		return nil, j.state.terminal(), false
+		return nil, j.state.Terminal(), false
 	}
-	evs := append([]Event(nil), j.events[after:]...)
-	return evs, j.state.terminal() && after+len(evs) == len(j.events), false
-}
-
-// JobStatus is the wire form of a job.
-type JobStatus struct {
-	ID         string            `json:"id"`
-	Kind       string            `json:"kind"`
-	State      JobState          `json:"state"`
-	CreatedAt  time.Time         `json:"created_at"`
-	StartedAt  *time.Time        `json:"started_at,omitempty"`
-	FinishedAt *time.Time        `json:"finished_at,omitempty"`
-	Error      string            `json:"error,omitempty"`
-	Progress   []obs.JobProgress `json:"progress,omitempty"`
-	TotalSteps int64             `json:"total_steps"`
-	Result     any               `json:"result,omitempty"`
-	// TraceID is the job's trace identity; the full span timeline is at
-	// GET /v1/jobs/{id}/trace (and, while retained, /debug/traces).
-	TraceID string `json:"trace_id,omitempty"`
-	// Spans counts the persisted span-timeline entries.
-	Spans int `json:"spans,omitempty"`
-	// IdempotentReplay marks a POST /v1/jobs response that returned an
-	// existing job because its Idempotency-Key had been seen before.
-	IdempotentReplay bool `json:"idempotent_replay,omitempty"`
+	evs := append([]client.Event(nil), j.events[after:]...)
+	return evs, j.state.Terminal() && after+len(evs) == len(j.events), false
 }
 
 // status snapshots the job. withResult controls whether the (possibly
 // large) result payload is included.
-func (j *job) status(withResult bool) JobStatus {
+func (j *job) status(withResult bool) client.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
+	st := client.JobStatus{
 		ID:         j.id,
 		Kind:       j.kind,
 		State:      j.state,
 		CreatedAt:  j.created,
 		Error:      j.errMsg,
-		Progress:   j.progress.Snapshot(),
 		TotalSteps: j.progress.TotalSteps(),
 		TraceID:    j.traceID(),
 		Spans:      len(j.spans),
+	}
+	snap := j.progress.Snapshot()
+	st.Progress = make([]client.JobProgress, len(snap))
+	for i, jp := range snap {
+		st.Progress[i] = client.JobProgress(jp)
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -384,7 +321,7 @@ func (j *job) status(withResult bool) JobStatus {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	if withResult && j.state == JobSucceeded && len(j.result) > 0 {
+	if withResult && j.state == client.JobSucceeded && len(j.result) > 0 {
 		st.Result = j.result
 	}
 	return st
@@ -404,7 +341,7 @@ func (j *job) snapshot() jobSnapshot {
 		FinishedAt: j.finished,
 		Error:      j.errMsg,
 		Result:     j.result,
-		Events:     append([]Event(nil), j.events...),
+		Events:     append([]client.Event(nil), j.events...),
 		Spans:      append([]xtrace.SpanRecord(nil), j.spans...),
 		TraceID:    j.traceID(),
 		IdemKey:    j.idemKey,
@@ -416,13 +353,13 @@ func (j *job) snapshot() jobSnapshot {
 func (j *job) expired(now time.Time, ttl time.Duration) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal() && now.Sub(j.finished) > ttl
+	return j.state.Terminal() && now.Sub(j.finished) > ttl
 }
 
 func (j *job) isTerminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal()
+	return j.state.Terminal()
 }
 
 // jobStore is the job index with TTL-based retirement, a hard capacity,

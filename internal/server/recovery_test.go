@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/client"
 	"alchemist/internal/journal"
 )
 
@@ -55,12 +56,12 @@ func TestRecoveryFinishedJobSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
 	done := waitState(t, ts1.URL, st.ID)
-	if done.State != JobSucceeded {
+	if done.State != client.JobSucceeded {
 		t.Fatalf("job state = %s, want succeeded (%s)", done.State, done.Error)
 	}
 	ts1.Close()
@@ -79,11 +80,11 @@ func TestRecoveryFinishedJobSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered job get = %d: %s", resp.StatusCode, body)
 	}
-	var got JobStatus
+	var got client.JobStatus
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.State != JobSucceeded {
+	if got.State != client.JobSucceeded {
 		t.Errorf("recovered state = %s, want succeeded", got.State)
 	}
 	if got.Result == nil {
@@ -121,7 +122,7 @@ func TestRecoveryInterruptsCrashedJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRecoveryInterruptsCrashedJob(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want 1 job, 1 interrupted", rec)
 	}
 	got := waitState(t, ts2.URL, st.ID)
-	if got.State != JobInterrupted {
+	if got.State != client.JobInterrupted {
 		t.Errorf("crashed job state = %s, want interrupted", got.State)
 	}
 	if !strings.Contains(got.Error, "interrupted") {
@@ -168,7 +169,7 @@ func TestRecoveryRequeuesCrashedJob(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRecoveryRequeuesCrashedJob(t *testing.T) {
 		t.Fatalf("recovery stats = %+v, want 1 job requeued", rec)
 	}
 	got := waitState(t, ts2.URL, st.ID)
-	if got.State != JobFailed {
+	if got.State != client.JobFailed {
 		t.Errorf("requeued forever-job state = %s, want failed (deadline)", got.State)
 	}
 	if !strings.Contains(got.Error, "deadline") {
@@ -201,7 +202,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newDurableServer(t, dir, nil)
 
-	submit := func(url, key string) (*http.Response, JobStatus) {
+	submit := func(url, key string) (*http.Response, client.JobStatus) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs",
 			strings.NewReader(fmt.Sprintf(`{"kind":"run","source":%q}`, tinySrc)))
@@ -257,7 +258,7 @@ func TestIdempotencyKeyReplay(t *testing.T) {
 		}
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var st JobStatus
+		var st client.JobStatus
 		if err := json.Unmarshal(b, &st); err != nil {
 			t.Fatalf("bad job body: %v: %s", err, b)
 		}
@@ -316,7 +317,7 @@ func TestJobListPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st client.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
@@ -324,13 +325,13 @@ func TestJobListPagination(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 
-	list := func(query string) JobListResponse {
+	list := func(query string) client.JobList {
 		t.Helper()
 		resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs"+query, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("list%s = %d: %s", query, resp.StatusCode, body)
 		}
-		var out JobListResponse
+		var out client.JobList
 		if err := json.Unmarshal([]byte(body), &out); err != nil {
 			t.Fatal(err)
 		}
@@ -405,14 +406,14 @@ func waitRunning(t *testing.T, base, id string) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job get: %d %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st client.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State == JobRunning {
+		if st.State == client.JobRunning {
 			return
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			t.Fatalf("job reached %s before running could be observed", st.State)
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/client"
 	"alchemist/internal/journal"
 	"alchemist/internal/obs"
 	"alchemist/internal/xtrace"
@@ -450,7 +451,7 @@ func (s *Server) recoverJobs(snaps []*jobSnapshot) {
 			continue
 		}
 		if s.opts.RequeueOnRecovery {
-			var req JobRequest
+			var req client.JobRequest
 			if err := json.Unmarshal(j.reqRaw, &req); err == nil {
 				if release, ok := s.tryAdmit(); ok {
 					j.requeue()
@@ -477,9 +478,9 @@ func (s *Server) Recovery() RecoveryStats { return s.rec }
 func (s *Server) buildHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/profile", s.instrument("profile", handleWork(s, (*Server).profile)))
-	mux.HandleFunc("POST /v1/advise", s.instrument("advise", handleWork(s, (*Server).advise)))
-	mux.HandleFunc("POST /v1/run", s.instrument("run", handleWork(s, (*Server).run)))
+	mux.HandleFunc("POST /v1/profile", s.instrument("profile", handleWork(s, profileTimeout, (*Server).profile)))
+	mux.HandleFunc("POST /v1/advise", s.instrument("advise", handleWork(s, profileTimeout, (*Server).advise)))
+	mux.HandleFunc("POST /v1/run", s.instrument("run", handleWork(s, runTimeout, (*Server).run)))
 	mux.HandleFunc("POST /v1/jobs", s.instrument("jobs_create", s.handleJobCreate))
 	mux.HandleFunc("GET /v1/jobs", s.instrument("jobs_list", s.handleJobList))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("job_get", s.handleJobGet))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"alchemist"
+	"alchemist/client"
 )
 
 const tinySrc = `int main() { return 7; }`
@@ -87,7 +88,7 @@ func post(t *testing.T, url, body string) (*http.Response, string) {
 }
 
 // waitState polls the job until it reaches a terminal state.
-func waitState(t *testing.T, base, id string) JobStatus {
+func waitState(t *testing.T, base, id string) client.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -95,17 +96,17 @@ func waitState(t *testing.T, base, id string) JobStatus {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job get: %d %s", resp.StatusCode, body)
 		}
-		var st JobStatus
+		var st client.JobStatus
 		if err := json.Unmarshal([]byte(body), &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			return st
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("job did not reach a terminal state in time")
-	return JobStatus{}
+	return client.JobStatus{}
 }
 
 func TestCompileGolden(t *testing.T) {
@@ -114,7 +115,7 @@ func TestCompileGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var cr CompileResponse
+	var cr client.CompileResponse
 	if err := json.Unmarshal([]byte(body), &cr); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAdviseSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var ar AdviseResponse
+	var ar client.AdviseResponse
 	if err := json.Unmarshal([]byte(body), &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestRunSync(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
-	var rr RunResponse
+	var rr client.RunResponse
 	if err := json.Unmarshal([]byte(body), &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +298,44 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("cancel = %d", resp.StatusCode)
 	}
 	fin := waitState(t, ts.URL, st.ID)
-	if fin.State != JobFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
+	if fin.State != client.JobFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
 		t.Errorf("cancelled job state = %s err = %q", fin.State, fin.Error)
 	}
 	resp, body = post(t, ts.URL+"/v1/profile", `{"source":"int main() { return 0; }"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("after cancel, profile = %d: %s", resp.StatusCode, body)
+	}
+}
+
+// A fractional RetryAfter rounds the Retry-After header up, like every
+// other retryable refusal, while retry_after_ms stays exact.
+func TestBackpressure429RoundsRetryAfterUp(t *testing.T) {
+	_, ts := newTestServer(t, func(o *Options) {
+		o.QueueDepth = 1
+		o.RetryAfter = 1500 * time.Millisecond
+	})
+	resp, body := post(t, ts.URL+"/v1/jobs",
+		fmt.Sprintf(`{"kind":"run","source":%q,"timeout_ms":30000}`, foreverSrc))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
+	}
+	var st client.JobStatus
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	defer doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, "")
+
+	resp, body = post(t, ts.URL+"/v1/profile", `{"source":"int main() { return 0; }"}`)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429: %s", resp.StatusCode, body)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	}
+	if !strings.Contains(body, "admission queue full (1 slots)") ||
+		!strings.Contains(body, `"code": "queue_saturated"`) ||
+		!strings.Contains(body, `"retry_after_ms": 1500`) {
+		t.Errorf("429 envelope: %s", body)
 	}
 }
 
@@ -316,15 +349,15 @@ func TestAsyncJobLifecycleAndResult(t *testing.T) {
 	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/jobs/") {
 		t.Errorf("Location = %q", loc)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != JobQueued && st.State != JobRunning {
+	if st.State != client.JobQueued && st.State != client.JobRunning {
 		t.Errorf("initial state = %s", st.State)
 	}
 	fin := waitState(t, ts.URL, st.ID)
-	if fin.State != JobSucceeded {
+	if fin.State != client.JobSucceeded {
 		t.Fatalf("state = %s err = %q", fin.State, fin.Error)
 	}
 	if fin.Result == nil || fin.TotalSteps == 0 {
@@ -352,13 +385,13 @@ func TestQueuedJobWaitsForWorker(t *testing.T) {
 	s, ts := newTestServer(t, func(o *Options) {
 		o.Engine = alchemist.NewEngine(alchemist.WithWorkers(1))
 	})
-	create := func(body string) JobStatus {
+	create := func(body string) client.JobStatus {
 		t.Helper()
 		resp, out := post(t, ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("create = %d: %s", resp.StatusCode, out)
 		}
-		var st JobStatus
+		var st client.JobStatus
 		if err := json.Unmarshal([]byte(out), &st); err != nil {
 			t.Fatal(err)
 		}
@@ -371,16 +404,16 @@ func TestQueuedJobWaitsForWorker(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	j := s.store.get(second.ID)
 	j.mu.Lock()
-	state, events := j.state, append([]Event(nil), j.events...)
+	state, events := j.state, append([]client.Event(nil), j.events...)
 	j.mu.Unlock()
-	if state != JobQueued || len(events) != 1 || events[0].State != JobQueued {
+	if state != client.JobQueued || len(events) != 1 || events[0].State != client.JobQueued {
 		t.Fatalf("second job with the worker busy: state %s, events %+v; want queued only", state, events)
 	}
 
 	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+blocker.ID, "")
 	b := waitState(t, ts.URL, blocker.ID)
 	got := waitState(t, ts.URL, second.ID)
-	if got.State != JobSucceeded {
+	if got.State != client.JobSucceeded {
 		t.Fatalf("second job %s (%s), want succeeded", got.State, got.Error)
 	}
 	if got.StartedAt == nil || got.StartedAt.Before(*b.FinishedAt) {
@@ -388,27 +421,27 @@ func TestQueuedJobWaitsForWorker(t *testing.T) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var states []JobState
+	var states []client.JobState
 	for _, ev := range j.events {
 		if ev.Type == "state" {
 			states = append(states, ev.State)
 		}
 	}
-	if fmt.Sprint(states) != fmt.Sprint([]JobState{JobQueued, JobRunning, JobSucceeded}) {
+	if fmt.Sprint(states) != fmt.Sprint([]client.JobState{client.JobQueued, client.JobRunning, client.JobSucceeded}) {
 		t.Errorf("second job state events %v, want [queued running succeeded]", states)
 	}
 }
 
 // parseSSE reads a full SSE stream into events.
-func parseSSE(t *testing.T, r io.Reader) []Event {
+func parseSSE(t *testing.T, r io.Reader) []client.Event {
 	t.Helper()
-	var out []Event
+	var out []client.Event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var ev Event
+			var ev client.Event
 			if err := json.Unmarshal([]byte(data), &ev); err != nil {
 				t.Fatalf("bad SSE data %q: %v", data, err)
 			}
@@ -428,7 +461,7 @@ func TestSSEEventOrdering(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -452,14 +485,14 @@ func TestSSEEventOrdering(t *testing.T) {
 			t.Errorf("event %d has seq %d; replay must be gapless and ordered", i, ev.Seq)
 		}
 	}
-	if evs[0].Type != "state" || evs[0].State != JobQueued {
+	if evs[0].Type != "state" || evs[0].State != client.JobQueued {
 		t.Errorf("first event = %+v, want state=queued", evs[0])
 	}
-	if evs[1].Type != "state" || evs[1].State != JobRunning {
+	if evs[1].Type != "state" || evs[1].State != client.JobRunning {
 		t.Errorf("second event = %+v, want state=running", evs[1])
 	}
 	last := evs[len(evs)-1]
-	if last.Type != "state" || last.State != JobSucceeded {
+	if last.Type != "state" || last.State != client.JobSucceeded {
 		t.Errorf("last event = %+v, want state=succeeded", last)
 	}
 	var prev int64 = -1
@@ -487,7 +520,7 @@ func TestGracefulShutdownDrainsJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +553,7 @@ func TestGracefulShutdownDrainsJobs(t *testing.T) {
 	if j == nil {
 		t.Fatal("job vanished during drain")
 	}
-	if got := j.status(true); got.State != JobSucceeded {
+	if got := j.status(true); got.State != client.JobSucceeded {
 		t.Errorf("drained job state = %s err = %q, want succeeded", got.State, got.Error)
 	}
 }
@@ -532,7 +565,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +575,7 @@ func TestShutdownAbortsOnExpiredContext(t *testing.T) {
 		t.Error("Shutdown with expired context should report the aborted drain")
 	}
 	j := s.store.get(st.ID)
-	if got := j.status(false); got.State != JobFailed {
+	if got := j.status(false); got.State != client.JobFailed {
 		t.Errorf("aborted job state = %s, want failed", got.State)
 	}
 }
@@ -589,7 +622,7 @@ func TestMetricsEndpointSurfacesServerMetrics(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	json.Unmarshal([]byte(body), &st)
 	post(t, ts.URL+"/v1/profile", `{"source":"int main() { return 0; }"}`) // 429
 

@@ -334,7 +334,7 @@ func TestTraceTimelineSurvivesCrashRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job create = %d: %s", resp.StatusCode, body)
 	}
-	var st JobStatus
+	var st client.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -343,17 +343,17 @@ func TestTraceTimelineSurvivesCrashRecovery(t *testing.T) {
 	if st.TraceID == "" {
 		t.Fatal("job status carries no trace_id")
 	}
-	if done := waitState(t, ts1.URL, st.ID); done.State != JobSucceeded {
+	if done := waitState(t, ts1.URL, st.ID); done.State != client.JobSucceeded {
 		t.Fatalf("job state = %s, want succeeded (%s)", done.State, done.Error)
 	}
 
-	fetchTrace := func(base string) JobTraceResponse {
+	fetchTrace := func(base string) client.JobTrace {
 		t.Helper()
 		resp, body := doJSON(t, http.MethodGet, base+"/v1/jobs/"+st.ID+"/trace", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job trace = %d: %s", resp.StatusCode, body)
 		}
-		var tr JobTraceResponse
+		var tr client.JobTrace
 		if err := json.Unmarshal([]byte(body), &tr); err != nil {
 			t.Fatal(err)
 		}

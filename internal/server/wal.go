@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alchemist/client"
 	"alchemist/internal/journal"
 	"alchemist/internal/xtrace"
 )
@@ -37,7 +38,7 @@ type walRecord struct {
 	TraceID string          `json:"trace_id,omitempty"`
 
 	// event
-	Event *Event `json:"event,omitempty"`
+	Event *client.Event `json:"event,omitempty"`
 
 	// span (SpanSeq deduplicates against snapshotted spans on replay,
 	// exactly like Event.Seq for the event log)
@@ -56,13 +57,13 @@ type walRecord struct {
 type jobSnapshot struct {
 	ID         string              `json:"id"`
 	Kind       string              `json:"kind"`
-	State      JobState            `json:"state"`
+	State      client.JobState     `json:"state"`
 	CreatedAt  time.Time           `json:"created_at"`
 	StartedAt  time.Time           `json:"started_at,omitzero"`
 	FinishedAt time.Time           `json:"finished_at,omitzero"`
 	Error      string              `json:"error,omitempty"`
 	Result     json.RawMessage     `json:"result,omitempty"`
-	Events     []Event             `json:"events,omitempty"`
+	Events     []client.Event      `json:"events,omitempty"`
 	Spans      []xtrace.SpanRecord `json:"spans,omitempty"`
 	TraceID    string              `json:"trace_id,omitempty"`
 	IdemKey    string              `json:"idem_key,omitempty"`
@@ -173,7 +174,7 @@ func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 				break // already in the snapshot
 			}
 			byID[r.ID] = &jobSnapshot{
-				ID: r.ID, Kind: r.Kind, State: JobQueued,
+				ID: r.ID, Kind: r.Kind, State: client.JobQueued,
 				CreatedAt: r.At, IdemKey: r.IdemKey, Request: r.Request,
 				TraceID: r.TraceID,
 			}
@@ -192,7 +193,7 @@ func replayState(rec *journal.Recovery) ([]*jobSnapshot, error) {
 				if r.Event.Error != "" {
 					js.Error = r.Event.Error
 				}
-				if r.Event.State == JobRunning {
+				if r.Event.State == client.JobRunning {
 					js.StartedAt = r.At
 				}
 			}
@@ -262,7 +263,7 @@ func restoreJob(js *jobSnapshot, wal *walWriter) *job {
 			j.progress.Update(ev.Job, ev.Steps)
 		}
 	}
-	if js.State == JobSucceeded {
+	if js.State == client.JobSucceeded {
 		for _, jp := range j.progress.Snapshot() {
 			j.progress.MarkDone(jp.Job)
 		}
