@@ -166,7 +166,7 @@ type ProfileConfig struct {
 	// ReaderSlots bounds the distinct reader PCs remembered per memory
 	// word (WAR recall vs. memory; default 4).
 	ReaderSlots int
-	// PoolPrealloc warms the construct pool (default 4096 nodes).
+	// PoolPrealloc warms the construct pool (default 65536 nodes).
 	PoolPrealloc int
 }
 

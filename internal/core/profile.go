@@ -25,6 +25,8 @@ const (
 	WAR
 	// WAW is a write-after-write (output) dependence.
 	WAW
+
+	numDepTypes = 3
 )
 
 func (d DepType) String() string {
@@ -66,7 +68,61 @@ type constructProfile struct {
 	maxDur  int64
 	inst    int64
 	nesting int64 // recursion depth counter (§III.B recursion fix)
-	edges   map[EdgeKey]*EdgeStat
+	// parents counts the instances pushed directly under each parent
+	// label (the NestDirect entries of this construct).
+	parents []nestCount
+}
+
+type nestCount struct {
+	parent int
+	count  int64
+}
+
+// nestUnder counts one instance pushed directly under a construct
+// labelled parent.
+func (cp *constructProfile) nestUnder(parent int) {
+	for i := range cp.parents {
+		if cp.parents[i].parent == parent {
+			cp.parents[i].count++
+			return
+		}
+	}
+	cp.parents = append(cp.parents, nestCount{parent: parent, count: 1})
+}
+
+// edgeProfile is one interned static edge together with its statistics
+// in every construct it crosses, one site per construct label slot.
+type edgeProfile struct {
+	key   EdgeKey
+	sites []edgeSite
+}
+
+type edgeSite struct {
+	slot int32
+	EdgeStat
+}
+
+// add folds one dynamic instance at distance dist into the site of slot
+// and returns the index after that site. The search starts at index
+// from: a dependence walks its ancestor chain in the same order every
+// time, so passing the previous result finds each next site at once.
+func (e *edgeProfile) add(slot int32, dist int64, from int) int {
+	n := len(e.sites)
+	for i := 0; i < n; i++ {
+		j := from + i
+		if j >= n {
+			j -= n
+		}
+		if s := &e.sites[j]; s.slot == slot {
+			s.Count++
+			if dist < s.MinDist {
+				s.MinDist = dist
+			}
+			return j + 1
+		}
+	}
+	e.sites = append(e.sites, edgeSite{slot: slot, EdgeStat: EdgeStat{MinDist: dist, Count: 1}})
+	return n + 1
 }
 
 // Edge is a finalized static dependence edge of one construct.
@@ -228,21 +284,25 @@ func (p *Profile) String() string {
 		p.TotalSteps, p.StaticConstructs, p.DynamicConstructs)
 }
 
-// finalize converts the online profiles into the exported Profile.
-func finalize(prog *ir.Program, totalSteps int64, profiles map[int]*constructProfile,
-	nest map[uint64]int64, pool indexing.PoolStats, sh shadow.Stats, dynamic int64) *Profile {
-
+// finalize converts the online profiles into the exported Profile. It
+// builds every exported structure afresh, so Finish may be called again.
+func (pr *Profiler) finalize() *Profile {
+	prog := pr.prog
 	p := &Profile{
 		Program:           prog,
-		TotalSteps:        totalSteps,
-		StaticConstructs:  int64(len(profiles)),
-		DynamicConstructs: dynamic,
-		NestDirect:        nest,
-		Pool:              pool,
-		Shadow:            sh,
-		byLabel:           make(map[int]*ConstructStat, len(profiles)),
+		TotalSteps:        pr.time,
+		DynamicConstructs: pr.dynamic,
+		NestDirect:        make(map[uint64]int64),
+		Pool:              pr.pool.Stats(),
+		Shadow:            pr.shadow.Stats(),
+		byLabel:           make(map[int]*ConstructStat),
 	}
-	for label, cp := range profiles {
+	bySlot := make([]*ConstructStat, len(pr.profiles))
+	for slot, cp := range pr.profiles {
+		if cp == nil {
+			continue
+		}
+		label := cp.label
 		cs := &ConstructStat{
 			Label:     label,
 			Kind:      cp.kind,
@@ -262,17 +322,31 @@ func finalize(prog *ir.Program, totalSteps int64, profiles map[int]*constructPro
 				cs.FuncName = f.Name
 			}
 		}
-		for k, st := range cp.edges {
+		for _, n := range cp.parents {
+			p.NestDirect[NestKey(label, n.parent)] = n.count
+		}
+		bySlot[slot] = cs
+		p.Constructs = append(p.Constructs, cs)
+		p.byLabel[label] = cs
+	}
+	p.StaticConstructs = int64(len(p.Constructs))
+	for _, e := range pr.edges {
+		k := e.key
+		headPos, tailPos := prog.PosOf(int(k.HeadPC)), prog.PosOf(int(k.TailPC))
+		for _, s := range e.sites {
+			cs := bySlot[s.slot]
 			cs.Edges = append(cs.Edges, Edge{
 				HeadPC:  int(k.HeadPC),
 				TailPC:  int(k.TailPC),
 				Type:    k.Type,
-				MinDist: st.MinDist,
-				Count:   st.Count,
-				HeadPos: prog.PosOf(int(k.HeadPC)),
-				TailPos: prog.PosOf(int(k.TailPC)),
+				MinDist: s.MinDist,
+				Count:   s.Count,
+				HeadPos: headPos,
+				TailPos: tailPos,
 			})
 		}
+	}
+	for _, cs := range p.Constructs {
 		sort.Slice(cs.Edges, func(i, j int) bool {
 			if cs.Edges[i].MinDist != cs.Edges[j].MinDist {
 				return cs.Edges[i].MinDist < cs.Edges[j].MinDist
@@ -282,8 +356,6 @@ func finalize(prog *ir.Program, totalSteps int64, profiles map[int]*constructPro
 			}
 			return cs.Edges[i].TailPC < cs.Edges[j].TailPC
 		})
-		p.Constructs = append(p.Constructs, cs)
-		p.byLabel[label] = cs
 	}
 	sort.Slice(p.Constructs, func(i, j int) bool {
 		if p.Constructs[i].Ttotal != p.Constructs[j].Ttotal {

@@ -39,8 +39,8 @@ type Options struct {
 	// constructor fills it in.
 	MemWords int64
 	// Scratch, when non-nil, recycles the shadow memory and construct
-	// pool retained in it across runs (Engine batch path). The Scratch
-	// must not be shared by concurrent profilers.
+	// pool retained in it across runs (every Engine.Profile uses one).
+	// The Scratch must not be shared by concurrent profilers.
 	Scratch *Scratch
 }
 
@@ -61,14 +61,33 @@ type Profiler struct {
 	// i-th active procedure construct.
 	stack  []*indexing.Construct
 	frames []int
+	// topPop is the PopPC of the innermost active construct, or -1 when
+	// the stack is empty, so Step costs one compare.
+	topPop int
 
 	pool   *indexing.Pool
 	shadow *shadow.Memory
 
-	profiles map[int]*constructProfile
-	nest     map[uint64]int64
+	// profiles is PROFILE[] indexed by label slot, label+numPCs:
+	// procedure labels (-base-1) fill [0, numPCs) and branch labels
+	// (their PC) fill [numPCs, 2*numPCs).
+	numPCs   int
+	profiles []*constructProfile
 	dynamic  int64
+
+	// edges holds every static dependence edge seen; byTail[tailPC*numDepTypes+type]
+	// indexes them by head.
+	edges  []edgeProfile
+	byTail []tailEdges
 }
+
+// tailEdges lists the edges ending at one (tail PC, type) pair.
+type tailEdges struct {
+	last  int // index in heads of the last edge found
+	heads []edgeRef
+}
+
+type edgeRef struct{ head, id int32 }
 
 var _ vm.Tracer = (*Profiler)(nil)
 
@@ -98,10 +117,12 @@ func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 	return &Profiler{
 		prog:     prog,
 		opts:     opts,
+		topPop:   -1,
 		pool:     pool,
 		shadow:   mem,
-		profiles: make(map[int]*constructProfile),
-		nest:     make(map[uint64]int64),
+		numPCs:   prog.NumPCs,
+		profiles: make([]*constructProfile, 2*prog.NumPCs),
+		byTail:   make([]tailEdges, numDepTypes*prog.NumPCs),
 	}
 }
 
@@ -118,16 +139,7 @@ func (p *Profiler) Finish() *Profile {
 	for len(p.stack) > 0 {
 		p.popTop()
 	}
-	return finalize(p.prog, p.time, p.profiles, p.nest, p.pool.Stats(), p.shadow.Stats(), p.dynamic)
-}
-
-func (p *Profiler) profileFor(label int, kind indexing.Kind) *constructProfile {
-	cp := p.profiles[label]
-	if cp == nil {
-		cp = &constructProfile{label: label, kind: kind, edges: make(map[EdgeKey]*EdgeStat)}
-		p.profiles[label] = cp
-	}
-	return cp
+	return p.finalize()
 }
 
 // top returns the innermost active construct (nil only before main's
@@ -143,11 +155,16 @@ func (p *Profiler) top() *indexing.Construct {
 func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 	c := p.pool.Acquire(p.time, label, kind, popPC, p.top())
 	p.stack = append(p.stack, c)
+	p.topPop = popPC
 	p.dynamic++
-	cp := p.profileFor(label, kind)
+	cp := p.profiles[label+p.numPCs]
+	if cp == nil {
+		cp = &constructProfile{label: label, kind: kind}
+		p.profiles[label+p.numPCs] = cp
+	}
 	cp.nesting++
 	if p.opts.TrackNesting && c.Parent != nil {
-		p.nest[NestKey(label, c.Parent.Label)]++
+		cp.nestUnder(c.Parent.Label)
 	}
 }
 
@@ -158,8 +175,12 @@ func (p *Profiler) popTop() {
 	n := len(p.stack) - 1
 	c := p.stack[n]
 	p.stack = p.stack[:n]
+	p.topPop = -1
+	if n > 0 {
+		p.topPop = p.stack[n-1].PopPC
+	}
 	c.Texit = p.time
-	cp := p.profiles[c.Label]
+	cp := p.profiles[c.Label+p.numPCs]
 	cp.nesting--
 	if cp.nesting == 0 {
 		dur := c.Texit - c.Tenter
@@ -191,10 +212,7 @@ func (p *Profiler) popDownThrough(idx int) {
 // immediate post-dominator is this instruction.
 func (p *Profiler) Step(gpc int) {
 	p.time++
-	for n := len(p.stack); n > 0; n = len(p.stack) {
-		if p.stack[n-1].PopPC != gpc {
-			return
-		}
+	for gpc == p.topPop {
 		p.popTop()
 	}
 }
@@ -296,23 +314,42 @@ func (p *Profiler) Store(addr int64, gpc int) {
 // its boundary into its continuation) and stop at the first still-active
 // construct (for it, and all its ancestors, the dependence is internal).
 func (p *Profiler) profileDep(t DepType, headPC int32, headNode *indexing.Construct, headTime int64, tailPC int32) {
+	c := headNode
+	if c == nil || !c.InWindow(headTime) {
+		return // no completed construct contains the head: nothing to intern
+	}
 	dist := p.time - headTime
-	key := EdgeKey{HeadPC: headPC, TailPC: tailPC, Type: t}
-	for c := headNode; c != nil && c.InWindow(headTime); c = c.Parent {
-		cp := p.profiles[c.Label]
-		if cp == nil {
+	e := &p.edges[p.edgeID(t, headPC, tailPC)]
+	next := 0
+	for ; c != nil && c.InWindow(headTime); c = c.Parent {
+		slot := c.Label + p.numPCs
+		if p.profiles[slot] == nil {
 			// The node was recycled for a label we have not seen close
 			// yet; InWindow should have rejected it, but stay safe.
 			return
 		}
-		st := cp.edges[key]
-		if st == nil {
-			cp.edges[key] = &EdgeStat{MinDist: dist, Count: 1}
-		} else {
-			st.Count++
-			if dist < st.MinDist {
-				st.MinDist = dist
-			}
+		next = e.add(int32(slot), dist, next)
+	}
+}
+
+// edgeID interns the static edge (head, tail, t). The search starts at
+// the edge this tail found last: a tail tends to meet the same head
+// again, and a store meets the readers of a word in the same order.
+func (p *Profiler) edgeID(t DepType, head, tail int32) int32 {
+	te := &p.byTail[int(tail)*numDepTypes+int(t)]
+	n := len(te.heads)
+	for i, j := 0, te.last; i < n; i++ {
+		if te.heads[j].head == head {
+			te.last = j
+			return te.heads[j].id
+		}
+		if j++; j == n {
+			j = 0
 		}
 	}
+	id := int32(len(p.edges))
+	p.edges = append(p.edges, edgeProfile{key: EdgeKey{HeadPC: head, TailPC: tail, Type: t}})
+	te.last = n
+	te.heads = append(te.heads, edgeRef{head: head, id: id})
+	return id
 }

@@ -20,9 +20,10 @@ type Scratch struct {
 
 // acquire returns reset-or-fresh buffers for a run over memWords of flat
 // memory with the given reader-slot bound, retaining them in the Scratch
-// for the next acquire. prealloc only applies when a fresh construct
-// pool must be built; a retained pool keeps its node population (reuse
-// is accounted like a warm preallocation by Pool.Reset).
+// for the next acquire. A retained construct pool is reset only when it
+// holds exactly prealloc nodes, which makes it indistinguishable from a
+// fresh NewPool(prealloc): the pool size sets the recycle distance, so a
+// pool left larger or smaller by an earlier run would change the profile.
 func (s *Scratch) acquire(memWords int64, readerSlots, prealloc int) (*indexing.Pool, *shadow.Memory) {
 	wantSlots := readerSlots
 	if wantSlots <= 0 {
@@ -33,7 +34,7 @@ func (s *Scratch) acquire(memWords int64, readerSlots, prealloc int) (*indexing.
 	} else {
 		s.shadow = shadow.New(memWords, readerSlots)
 	}
-	if s.pool != nil {
+	if s.pool != nil && s.pool.Live() == prealloc {
 		s.pool.Reset()
 	} else {
 		s.pool = indexing.NewPool(prealloc)
