@@ -107,7 +107,8 @@ func (p *Program) IR() *ir.Program { return p.ir }
 type RunConfig struct {
 	// Input is served to the program via the in()/inlen() builtins.
 	Input []int64
-	// MemWords sizes the flat memory (default 1<<22 words).
+	// MemWords caps the flat memory (default 1<<22 words). A sequential
+	// run grows its memory on demand up to the cap.
 	MemWords int64
 	// StepLimit aborts runaway sequential programs (0 = off).
 	StepLimit int64

@@ -75,7 +75,7 @@ func cmdRun(name, src string, args []string) error {
 	inputCSV := fs.String("input", "", "comma-separated int64 input stream")
 	parallel := fs.Bool("parallel", false, "execute spawns on goroutines")
 	workers := fs.Int("workers", 0, "virtual-time simulation with N workers")
-	memWords := fs.Int64("mem", 0, "flat memory size in words")
+	memWords := fs.Int64("mem", 0, "flat memory cap in words (default 1<<22)")
 	steps := fs.Int64("steplimit", 0, "abort after this many instructions (sequential)")
 	optimize := fs.Bool("O", false, "enable optimization passes")
 	fs.Parse(args)

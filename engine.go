@@ -120,9 +120,13 @@ type Engine struct {
 	// q hands out the worker slots every execution runs on.
 	q *runQueue
 
-	// scratch recycles per-worker profiling buffers (shadow memory,
-	// construct pool) across profiled runs.
-	scratch sync.Pool
+	// scratch holds one set of profiling buffers (shadow memory,
+	// construct pool) per worker slot, the most recently used last. A
+	// profile takes one only while it holds a slot, so one is always
+	// there. Taking the last keeps a lone caller on one warm set, and
+	// the others stay empty until profiles run side by side.
+	scratchMu sync.Mutex
+	scratch   []*core.Scratch
 
 	mu     sync.Mutex
 	cache  map[programKey]*list.Element
@@ -148,10 +152,6 @@ type engineMetrics struct {
 	jobs         *obs.Counter
 	jobErrors    *obs.Counter
 	jobWall      *obs.Histogram
-
-	scratchGets *obs.Counter
-	scratchPuts *obs.Counter
-	scratchNews *obs.Counter
 
 	shadowLoads   *obs.Counter
 	shadowStores  *obs.Counter
@@ -187,12 +187,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 			"VM runs that failed (including cancellations)."),
 		jobWall: r.Histogram("alchemist_engine_job_wall_seconds",
 			"Wall-clock time of one VM run on its worker slot.", nil),
-		scratchGets: r.Counter("alchemist_engine_scratch_gets_total",
-			"Profiling scratch buffers checked out of the worker pool."),
-		scratchPuts: r.Counter("alchemist_engine_scratch_puts_total",
-			"Profiling scratch buffers returned to the worker pool."),
-		scratchNews: r.Counter("alchemist_engine_scratch_news_total",
-			"Profiling scratch buffers newly allocated by the pool."),
 		shadowLoads: r.Counter("alchemist_profile_shadow_loads_total",
 			"Shadow-memory read records across profiled runs."),
 		shadowStores: r.Counter("alchemist_profile_shadow_stores_total",
@@ -200,7 +194,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		poolReused: r.Counter("alchemist_profile_pool_reused_total",
 			"Construct-pool acquisitions served by recycling a retired node."),
 		poolAllocated: r.Counter("alchemist_profile_pool_allocated_total",
-			"Construct-pool nodes allocated fresh."),
+			"Construct-pool nodes created by profiled runs (a worker slot's first preallocation included)."),
 	}
 }
 
@@ -244,9 +238,9 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.em = newEngineMetrics(e.reg)
 	e.vmm = vm.NewMetrics(e.reg)
-	e.scratch.New = func() any {
-		e.em.scratchNews.Inc()
-		return &core.Scratch{}
+	e.scratch = make([]*core.Scratch, e.workers)
+	for i := range e.scratch {
+		e.scratch[i] = &core.Scratch{}
 	}
 	e.q = &runQueue{free: e.workers, depth: e.em.queueDepth}
 	if e.cacheCap > 0 {
@@ -486,9 +480,9 @@ func (c RunConfig) withJob(input []int64, onProgress func(int64)) RunConfig {
 	return c
 }
 
-// profile runs p sequentially under the profiler, with a scratch buffer
-// from the pool, and folds the profile's shadow-memory and
-// construct-pool counters into the registry.
+// profile runs p sequentially under the profiler, on the scratch
+// buffers of the worker slot the caller holds, and folds the profile's
+// shadow-memory and construct-pool counters into the registry.
 func (e *Engine) profile(ctx context.Context, p *Program, cfg ProfileConfig) (*Profile, *RunResult, error) {
 	if cfg.Parallel || cfg.SimWorkers > 0 {
 		return nil, nil, ErrProfileNeedsSequential
@@ -496,16 +490,19 @@ func (e *Engine) profile(ctx context.Context, p *Program, cfg ProfileConfig) (*P
 	opts := core.DefaultOptions()
 	opts.TrackWAR, opts.TrackWAW = !cfg.DisableWAR, !cfg.DisableWAW
 	opts.ReaderSlots, opts.PoolPrealloc = cfg.ReaderSlots, cfg.PoolPrealloc
-	e.em.scratchGets.Inc()
-	opts.Scratch = e.scratch.Get().(*core.Scratch)
+	e.scratchMu.Lock()
+	opts.Scratch = e.scratch[len(e.scratch)-1]
+	e.scratch = e.scratch[:len(e.scratch)-1]
+	e.scratchMu.Unlock()
 	prof, res, err := core.ProfileProgramCtx(ctx, p.ir, cfg.vmConfig(e.vmm), opts)
-	e.em.scratchPuts.Inc()
-	e.scratch.Put(opts.Scratch)
+	e.em.poolAllocated.Add(opts.Scratch.NodesCreated())
+	e.scratchMu.Lock()
+	e.scratch = append(e.scratch, opts.Scratch)
+	e.scratchMu.Unlock()
 	if prof != nil {
 		e.em.shadowLoads.Add(prof.Shadow.Loads)
 		e.em.shadowStores.Add(prof.Shadow.Stores)
 		e.em.poolReused.Add(prof.Pool.Reused)
-		e.em.poolAllocated.Add(prof.Pool.Allocated)
 	}
 	return prof, res, err
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"alchemist"
 	"alchemist/internal/obs"
@@ -188,40 +189,99 @@ func TestEngineMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEngineScratchAccounting: every batch job checks one scratch buffer
-// out and back in; the sync.Pool allocates at most one per concurrent
-// worker.
-func TestEngineScratchAccounting(t *testing.T) {
+// TestEngineScratchPerWorkerSlot: each worker slot keeps its profiling
+// scratch. Once both slots of a WithWorkers(2) Engine have profiled a
+// program, further batches of it create no construct nodes and no
+// shadow pages, and every job runs on a pool of exactly the default
+// preallocation.
+func TestEngineScratchPerWorkerSlot(t *testing.T) {
 	ctx := context.Background()
-	const workers, jobCount = 2, 6
-	eng := alchemist.NewEngine(alchemist.WithWorkers(workers))
+	eng := alchemist.NewEngine(alchemist.WithWorkers(2))
 	prog, err := eng.Compile(ctx, "batch.mc", batchSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]alchemist.ProfileJob, jobCount)
-	for i := range jobs {
-		jobs[i] = alchemist.ProfileJob{Input: []int64{int64(i), int64(i * 2)}}
+	input := batchInputs()[0]
+
+	// Warm both slots: two jobs that wait for each other inside their
+	// runs, so they hold both scratches at once.
+	var both sync.WaitGroup
+	both.Add(2)
+	met := make(chan struct{})
+	go func() { both.Wait(); close(met) }()
+	warm := make([]alchemist.ProfileJob, 2)
+	for i := range warm {
+		var once sync.Once
+		warm[i] = alchemist.ProfileJob{Input: input, OnProgress: func(int64) {
+			once.Do(func() {
+				both.Done()
+				select {
+				case <-met:
+				case <-time.After(10 * time.Second):
+					t.Error("warm-up jobs never ran at the same time")
+				}
+			})
+		}}
 	}
-	if _, _, err := eng.ProfileBatch(ctx, prog, jobs); err != nil {
+	if _, _, err := eng.ProfileBatch(ctx, prog, warm); err != nil {
 		t.Fatal(err)
 	}
 
 	reg := eng.Metrics()
-	gets := counter(reg, "alchemist_engine_scratch_gets_total")
-	puts := counter(reg, "alchemist_engine_scratch_puts_total")
-	news := counter(reg, "alchemist_engine_scratch_news_total")
-	if gets != jobCount || puts != jobCount {
-		t.Errorf("scratch gets = %d puts = %d, want both %d", gets, puts, jobCount)
+	created := counter(reg, "alchemist_profile_pool_allocated_total")
+	if created != 2<<16 {
+		t.Errorf("warm-up created %d pool nodes, want two preallocations (%d)", created, 2<<16)
 	}
-	if news < 1 || news > jobCount {
-		t.Errorf("scratch news = %d, want within [1, %d]", news, jobCount)
+	jobs := make([]alchemist.ProfileJob, 6)
+	for i := range jobs {
+		jobs[i] = alchemist.ProfileJob{Input: input}
 	}
-	if got := counter(reg, "alchemist_engine_jobs_total"); got != jobCount {
-		t.Errorf("jobs = %d, want %d", got, jobCount)
+	for round := 0; round < 3; round++ {
+		_, results, err := eng.ProfileBatch(ctx, prog, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if pages := r.Profile.Shadow.PagesAllocated; pages != 0 {
+				t.Errorf("round %d job %d: %d shadow pages allocated", round, r.Job, pages)
+			}
+			if n := r.Profile.Pool.Allocated; n != 1<<16 {
+				t.Errorf("round %d job %d: pool of %d nodes, want %d", round, r.Job, n, 1<<16)
+			}
+		}
 	}
-	if got := counter(reg, "alchemist_profile_pool_allocated_total"); got <= 0 {
-		t.Errorf("pool allocated = %d, want > 0", got)
+	if got := counter(reg, "alchemist_profile_pool_allocated_total"); got != created {
+		t.Errorf("warm batches created %d pool nodes, want 0", got-created)
+	}
+	if got := counter(reg, "alchemist_engine_jobs_total"); got != 2+3*int64(len(jobs)) {
+		t.Errorf("jobs = %d, want %d", got, 2+3*len(jobs))
+	}
+}
+
+// TestPoolCounterCountsCreatedNodes: alchemist_profile_pool_allocated_total
+// counts the nodes a profile creates. The first profile on a worker slot
+// builds its pool; the second profile of the same small program reuses
+// it and adds nothing.
+func TestPoolCounterCountsCreatedNodes(t *testing.T) {
+	ctx := context.Background()
+	eng := alchemist.NewEngine(alchemist.WithWorkers(1))
+	prog, err := eng.Compile(ctx, "batch.mc", batchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := alchemist.ProfileConfig{RunConfig: alchemist.RunConfig{Input: batchInputs()[0]}}
+	if _, _, err := eng.Profile(ctx, prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	first := counter(eng.Metrics(), "alchemist_profile_pool_allocated_total")
+	if first < 1<<16 {
+		t.Errorf("first profile counted %d nodes, want at least the %d it preallocated", first, 1<<16)
+	}
+	if _, _, err := eng.Profile(ctx, prog, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(eng.Metrics(), "alchemist_profile_pool_allocated_total"); got != first {
+		t.Errorf("second profile added %d nodes, want 0", got-first)
 	}
 }
 

@@ -35,12 +35,13 @@ type Options struct {
 	// TrackNesting enables the direct-nesting counters needed by the
 	// Fig. 6(b) removal analysis (on by default via DefaultOptions).
 	TrackNesting bool
-	// MemWords must match the VM's flat memory size; the Profiler
-	// constructor fills it in.
+	// MemWords must match the VM's flat memory cap (vm.Config.MemWords);
+	// ProfileProgramCtx fills it in.
 	MemWords int64
 	// Scratch, when non-nil, recycles the shadow memory and construct
-	// pool retained in it across runs (every Engine.Profile uses one).
-	// The Scratch must not be shared by concurrent profilers.
+	// pool retained in it across runs (every Engine.Profile uses its
+	// worker slot's). The Scratch must not be shared by concurrent
+	// profilers.
 	Scratch *Scratch
 }
 
@@ -59,7 +60,7 @@ type Profiler struct {
 
 	// IDS: the execution index stack. frames[i] is the stack index of the
 	// i-th active procedure construct.
-	stack  []*indexing.Construct
+	stack  []active
 	frames []int
 	// topPop is the PopPC of the innermost active construct, or -1 when
 	// the stack is empty, so Step costs one compare.
@@ -81,6 +82,16 @@ type Profiler struct {
 	byTail []tailEdges
 }
 
+// active is one entry of the index stack: the construct's pool node,
+// plus copies of the node fields that closing it and rule 4 read, so
+// those stay off the pool's slab.
+type active struct {
+	node   int32
+	label  int32
+	popPC  int32
+	tenter int64
+}
+
 // tailEdges lists the edges ending at one (tail PC, type) pair.
 type tailEdges struct {
 	last  int // index in heads of the last edge found
@@ -91,8 +102,8 @@ type edgeRef struct{ head, id int32 }
 
 var _ vm.Tracer = (*Profiler)(nil)
 
-// NewProfiler builds a profiler for prog whose VM uses memWords of flat
-// memory.
+// NewProfiler builds a profiler for prog whose VM memory is capped at
+// memWords.
 func NewProfiler(prog *ir.Program, memWords int64, opts Options) *Profiler {
 	if memWords == 0 {
 		memWords = 1 << 22
@@ -142,19 +153,20 @@ func (p *Profiler) Finish() *Profile {
 	return p.finalize()
 }
 
-// top returns the innermost active construct (nil only before main's
-// EnterFunc).
-func (p *Profiler) top() *indexing.Construct {
+// top returns the innermost active construct (indexing.None only
+// before main's EnterFunc).
+func (p *Profiler) top() int32 {
 	if len(p.stack) == 0 {
-		return nil
+		return indexing.None
 	}
-	return p.stack[len(p.stack)-1]
+	return p.stack[len(p.stack)-1].node
 }
 
 // push enters a new construct instance (Table I IDS.push).
 func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
-	c := p.pool.Acquire(p.time, label, kind, popPC, p.top())
-	p.stack = append(p.stack, c)
+	parent := p.top()
+	c := p.pool.Acquire(p.time, int32(label), kind, int32(popPC), parent)
+	p.stack = append(p.stack, active{node: c, label: int32(label), popPC: int32(popPC), tenter: p.time})
 	p.topPop = popPC
 	p.dynamic++
 	cp := p.profiles[label+p.numPCs]
@@ -163,8 +175,8 @@ func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 		p.profiles[label+p.numPCs] = cp
 	}
 	cp.nesting++
-	if p.opts.TrackNesting && c.Parent != nil {
-		cp.nestUnder(c.Parent.Label)
+	if n := len(p.stack); p.opts.TrackNesting && n > 1 {
+		cp.nestUnder(int(p.stack[n-2].label))
 	}
 }
 
@@ -173,17 +185,17 @@ func (p *Profiler) push(label int, kind indexing.Kind, popPC int) {
 // node to the pool for lazy retirement.
 func (p *Profiler) popTop() {
 	n := len(p.stack) - 1
-	c := p.stack[n]
+	a := p.stack[n]
 	p.stack = p.stack[:n]
 	p.topPop = -1
 	if n > 0 {
-		p.topPop = p.stack[n-1].PopPC
+		p.topPop = int(p.stack[n-1].popPC)
 	}
-	c.Texit = p.time
-	cp := p.profiles[c.Label+p.numPCs]
+	p.pool.Node(a.node).Texit = p.time
+	cp := p.profiles[int(a.label)+p.numPCs]
 	cp.nesting--
 	if cp.nesting == 0 {
-		dur := c.Texit - c.Tenter
+		dur := p.time - a.tenter
 		cp.ttotal += dur
 		cp.inst++
 		if cp.inst == 1 || dur < cp.minDur {
@@ -193,7 +205,7 @@ func (p *Profiler) popTop() {
 			cp.maxDur = dur
 		}
 	}
-	p.pool.Release(c)
+	p.pool.Release(a.node)
 }
 
 // popDownThrough closes every construct above stack index idx and the one
@@ -270,7 +282,7 @@ func (p *Profiler) Branch(in *ir.Instr, gpc int, taken bool) {
 		frame = p.frames[len(p.frames)-1]
 	}
 	for i := len(p.stack) - 1; i > frame; i-- {
-		if p.stack[i].Label == gpc {
+		if int(p.stack[i].label) == gpc {
 			p.popDownThrough(i)
 			break
 		}
@@ -313,16 +325,18 @@ func (p *Profiler) Store(addr int64, gpc int) {
 // every enclosing construct that has completed (the dependence crosses
 // its boundary into its continuation) and stop at the first still-active
 // construct (for it, and all its ancestors, the dependence is internal).
-func (p *Profiler) profileDep(t DepType, headPC int32, headNode *indexing.Construct, headTime int64, tailPC int32) {
-	c := headNode
-	if c == nil || !c.InWindow(headTime) {
+func (p *Profiler) profileDep(t DepType, headPC int32, headNode int32, headTime int64, tailPC int32) {
+	c := p.pool.Node(headNode)
+	if !c.InWindow(headTime) {
 		return // no completed construct contains the head: nothing to intern
 	}
 	dist := p.time - headTime
 	e := &p.edges[p.edgeID(t, headPC, tailPC)]
 	next := 0
-	for ; c != nil && c.InWindow(headTime); c = c.Parent {
-		slot := c.Label + p.numPCs
+	// The walk ends at the first active construct, or at indexing.None,
+	// whose window is empty.
+	for ; c.InWindow(headTime); c = p.pool.Node(c.Parent) {
+		slot := int(c.Label) + p.numPCs
 		if p.profiles[slot] == nil {
 			// The node was recycled for a label we have not seen close
 			// yet; InWindow should have rejected it, but stay safe.

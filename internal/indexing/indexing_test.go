@@ -7,8 +7,8 @@ import (
 
 func TestAcquireInitializes(t *testing.T) {
 	p := NewPool(0)
-	parent := p.Acquire(10, 100, KindFunc, NoPop, nil)
-	c := p.Acquire(12, 200, KindLoop, 55, parent)
+	parent := p.Acquire(10, 100, KindFunc, NoPop, None)
+	c := p.Node(p.Acquire(12, 200, KindLoop, 55, parent))
 	if c.Label != 200 || c.Kind != KindLoop || c.Tenter != 12 || c.Texit != 0 ||
 		c.Parent != parent || c.PopPC != 55 {
 		t.Errorf("acquired node wrong: %+v", c)
@@ -39,20 +39,20 @@ func TestInWindow(t *testing.T) {
 
 func TestLazyRetirement(t *testing.T) {
 	p := NewPool(0)
-	c := p.Acquire(0, 1, KindLoop, NoPop, nil)
-	c.Texit = 100 // lived [0,100): needs to stay dead until t=200
+	c := p.Acquire(0, 1, KindLoop, NoPop, None)
+	p.Node(c).Texit = 100 // lived [0,100): needs to stay dead until t=200
 	p.Release(c)
 
 	// Too early: the node must not be recycled.
-	c2 := p.Acquire(150, 2, KindLoop, NoPop, nil)
+	c2 := p.Acquire(150, 2, KindLoop, NoPop, None)
 	if c2 == c {
 		t.Fatal("node recycled before its retirement window")
 	}
-	c2.Tenter, c2.Texit = 150, 151
+	p.Node(c2).Tenter, p.Node(c2).Texit = 150, 151
 	p.Release(c2)
 
 	// At t=200 the first node has been dead exactly as long as it lived.
-	c3 := p.Acquire(200, 3, KindLoop, NoPop, nil)
+	c3 := p.Acquire(200, 3, KindLoop, NoPop, None)
 	if c3 != c && c3 != c2 {
 		t.Fatal("no node recycled after the retirement window")
 	}
@@ -60,10 +60,10 @@ func TestLazyRetirement(t *testing.T) {
 
 func TestPoolFIFOOrder(t *testing.T) {
 	p := NewPool(0)
-	var nodes []*Construct
+	var nodes []int32
 	for i := 0; i < 5; i++ {
-		c := p.Acquire(int64(i), i, KindCond, NoPop, nil)
-		c.Texit = c.Tenter + 1
+		c := p.Acquire(int64(i), int32(i), KindCond, NoPop, None)
+		p.Node(c).Texit = p.Node(c).Tenter + 1
 		nodes = append(nodes, c)
 	}
 	for _, c := range nodes {
@@ -71,7 +71,7 @@ func TestPoolFIFOOrder(t *testing.T) {
 	}
 	// All are retirable far in the future; reuse comes from the head
 	// (oldest release first).
-	got := p.Acquire(1000, 99, KindCond, NoPop, nil)
+	got := p.Acquire(1000, 99, KindCond, NoPop, None)
 	if got != nodes[0] {
 		t.Error("reuse did not come from the pool head")
 	}
@@ -79,13 +79,13 @@ func TestPoolFIFOOrder(t *testing.T) {
 
 func TestRotation(t *testing.T) {
 	p := NewPool(0)
-	hot := p.Acquire(0, 1, KindLoop, NoPop, nil)
-	hot.Texit = 1000 // dead at t=1000 after living 1000: hot until t=2000
-	cold := p.Acquire(1000, 2, KindLoop, NoPop, nil)
-	cold.Texit = 1001 // lived 1 step: retirable at t=1002
+	hot := p.Acquire(0, 1, KindLoop, NoPop, None)
+	p.Node(hot).Texit = 1000 // dead at t=1000 after living 1000: hot until t=2000
+	cold := p.Acquire(1000, 2, KindLoop, NoPop, None)
+	p.Node(cold).Texit = 1001 // lived 1 step: retirable at t=1002
 	p.Release(hot)
 	p.Release(cold)
-	got := p.Acquire(1500, 3, KindLoop, NoPop, nil)
+	got := p.Acquire(1500, 3, KindLoop, NoPop, None)
 	if got != cold {
 		t.Error("probe did not skip the hot head and reuse the cold node")
 	}
@@ -97,10 +97,10 @@ func TestRotation(t *testing.T) {
 func TestDisableReuse(t *testing.T) {
 	p := NewPool(0)
 	p.DisableReuse = true
-	c := p.Acquire(0, 1, KindLoop, NoPop, nil)
-	c.Texit = 1
+	c := p.Acquire(0, 1, KindLoop, NoPop, None)
+	p.Node(c).Texit = 1
 	p.Release(c)
-	c2 := p.Acquire(1000, 2, KindLoop, NoPop, nil)
+	c2 := p.Acquire(1000, 2, KindLoop, NoPop, None)
 	if c2 == c {
 		t.Error("DisableReuse recycled a node")
 	}
@@ -115,8 +115,8 @@ func TestPrealloc(t *testing.T) {
 		t.Errorf("Live = %d", p.Live())
 	}
 	// Fresh preallocated nodes are immediately reusable.
-	c := p.Acquire(0, 1, KindFunc, NoPop, nil)
-	if c == nil {
+	c := p.Acquire(0, 1, KindFunc, NoPop, None)
+	if c == None {
 		t.Fatal("nil node")
 	}
 	if p.Stats().Reused != 1 || p.Stats().Allocated != 16 {
@@ -134,7 +134,7 @@ func TestRetirementInvariant(t *testing.T) {
 	f := func(durs []uint16, gaps []uint16) bool {
 		p := NewPool(0)
 		now := int64(0)
-		live := map[*Construct]struct {
+		live := map[int32]struct {
 			enter, exit int64
 		}{}
 		n := len(durs)
@@ -142,7 +142,7 @@ func TestRetirementInvariant(t *testing.T) {
 			n = len(gaps)
 		}
 		for i := 0; i < n; i++ {
-			c := p.Acquire(now, i, KindLoop, NoPop, nil)
+			c := p.Acquire(now, int32(i), KindLoop, NoPop, None)
 			// If the node was recycled, check the invariant against its
 			// previous lifetime.
 			if prev, ok := live[c]; ok {
@@ -151,10 +151,10 @@ func TestRetirementInvariant(t *testing.T) {
 				}
 			}
 			dur := int64(durs[i] % 1000)
-			c.Texit = now + dur
-			live[c] = struct{ enter, exit int64 }{now, c.Texit}
+			p.Node(c).Texit = now + dur
+			live[c] = struct{ enter, exit int64 }{now, now + dur}
 			p.Release(c)
-			now = c.Texit + int64(gaps[i]%100)
+			now += dur + int64(gaps[i]%100)
 		}
 		return true
 	}
@@ -165,11 +165,11 @@ func TestRetirementInvariant(t *testing.T) {
 
 func TestRingGrowthPreservesOrder(t *testing.T) {
 	p := NewPool(0)
-	var nodes []*Construct
+	var nodes []int32
 	// Force multiple ring growths.
 	for i := 0; i < 100; i++ {
-		c := p.Acquire(int64(i), i, KindCond, NoPop, nil)
-		c.Tenter, c.Texit = int64(i), int64(i)+1
+		c := p.Acquire(int64(i), int32(i), KindCond, NoPop, None)
+		p.Node(c).Tenter, p.Node(c).Texit = int64(i), int64(i)+1
 		nodes = append(nodes, c)
 	}
 	for _, c := range nodes {
@@ -180,7 +180,7 @@ func TestRingGrowthPreservesOrder(t *testing.T) {
 	}
 	// Drain; order must be FIFO.
 	for i := 0; i < 100; i++ {
-		got := p.Acquire(1_000_000, 999, KindCond, NoPop, nil)
+		got := p.Acquire(1_000_000, 999, KindCond, NoPop, None)
 		if got != nodes[i] {
 			t.Fatalf("drain position %d: wrong node", i)
 		}
@@ -200,5 +200,108 @@ func TestConstructString(t *testing.T) {
 	c := &Construct{Label: 5, Kind: KindLoop, Tenter: 1, Texit: 9}
 	if c.String() != "loop@5[1,9)" {
 		t.Errorf("String = %q", c.String())
+	}
+}
+
+// drive runs a stack-shaped acquire/release sequence on p and returns
+// the pool stats after every step. With finish set it releases every
+// node still open at the end, as a completed run does.
+func drive(p *Pool, ops []uint8, finish bool) []PoolStats {
+	var stack []int32
+	var trail []PoolStats
+	now := int64(0)
+	release := func() {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		p.Node(c).Texit = now
+		p.Release(c)
+	}
+	for _, op := range ops {
+		now += int64(op%7) + 1
+		if op%3 == 0 || len(stack) == 0 {
+			parent := None
+			if len(stack) > 0 {
+				parent = stack[len(stack)-1]
+			}
+			stack = append(stack, p.Acquire(now, int32(op), KindLoop, NoPop, parent))
+		} else {
+			release()
+		}
+		trail = append(trail, p.Stats())
+	}
+	for finish && len(stack) > 0 {
+		release()
+	}
+	return trail
+}
+
+// ascending reports whether p's ring holds its preallocated nodes in
+// ascending index order, wrapping from the last to the first, as a new
+// pool does: acquisitions then walk the slab in address order.
+func ascending(p *Pool) bool {
+	for i := 1; i < p.count; i++ {
+		prev, c := p.ring[(p.head+i-1)&(len(p.ring)-1)], p.ring[(p.head+i)&(len(p.ring)-1)]
+		if c != prev+1 && !(prev == int32(p.prealloc) && c == 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResetMatchesFreshPool: whatever an earlier run left behind (grown
+// slab, nodes still lent out by an aborted run, recycled nodes), a reset
+// pool behaves exactly like a new one of the same size, and its ring is
+// back in ascending order.
+func TestResetMatchesFreshPool(t *testing.T) {
+	f := func(prealloc uint8, first []uint8, finish bool, runs [][]uint8) bool {
+		n := int(prealloc % 24)
+		used := NewPool(n)
+		drive(used, first, finish)
+		for _, ops := range runs {
+			used.Reset()
+			if used.Live() != n || used.Stats() != (PoolStats{Allocated: int64(n)}) || !ascending(used) {
+				return false
+			}
+			want := drive(NewPool(n), ops, true)
+			got := drive(used, ops, true)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestResetCutsBack: a pool that outgrew its preallocation returns to it,
+// and every node it keeps is clean.
+func TestResetCutsBack(t *testing.T) {
+	p := NewPool(4)
+	var open []int32
+	for i := 0; i < 10; i++ {
+		open = append(open, p.Acquire(int64(i), int32(i), KindFunc, NoPop, None))
+	}
+	if got := p.Stats().Allocated; got != 10 {
+		t.Fatalf("Allocated = %d, want 10", got)
+	}
+	for _, c := range open {
+		p.Node(c).Texit = 20
+		p.Release(c)
+	}
+	p.Reset()
+	if p.Live() != 4 || len(p.nodes) != 5 {
+		t.Fatalf("after Reset: Live = %d, slab = %d nodes", p.Live(), len(p.nodes))
+	}
+	for i := range p.nodes {
+		if p.nodes[i] != (Construct{}) {
+			t.Errorf("node %d not cleared: %+v", i, p.nodes[i])
+		}
 	}
 }

@@ -7,16 +7,16 @@
 // sources of WAR dependences). Bounding the reader set trades WAR-edge
 // recall for memory; the slot count is configurable and ablated in the
 // benchmark suite. Shadow pages are allocated lazily so untouched memory
-// costs nothing.
+// costs nothing, and they hold no pointers, so the garbage collector
+// never scans them.
 package shadow
 
-import "alchemist/internal/indexing"
-
 // Access describes one memory access: which instruction performed it,
-// when, and inside which construct instance.
+// when, and inside which construct instance (an index into the
+// profiler's construct pool).
 type Access struct {
 	Time int64
-	Node *indexing.Construct
+	Node int32
 	PC   int32
 }
 
@@ -28,6 +28,9 @@ const DefaultReaderSlots = 4
 const pageWords = 4096
 
 type page struct {
+	// epoch is the Reset generation whose accesses the page holds; an
+	// older page is cleared when a run first touches it.
+	epoch    uint64
 	writes   []Access // len pageWords
 	hasWrite []bool
 	readers  []Access // len pageWords*K, K slots per word
@@ -39,6 +42,7 @@ type page struct {
 type Memory struct {
 	pages []*page
 	k     int
+	epoch uint64
 
 	// scratch reuses one slice for Store's reader report.
 	scratch []Access
@@ -80,19 +84,14 @@ func (m *Memory) Words() int64 { return int64(len(m.pages)) * pageWords }
 // Slots returns the per-word reader-PC bound.
 func (m *Memory) Slots() int { return m.k }
 
-// Reset clears every recorded access so the Memory can shadow a fresh
+// Reset forgets every recorded access so the Memory can shadow a fresh
 // run, keeping the already-allocated pages (the point of reuse: batch
-// jobs of the same program touch the same pages). Counters restart at
-// zero; retained pages are not re-counted in PagesAllocated, so per-run
-// stats only report allocations the run itself caused.
+// jobs of the same program touch the same pages). It costs O(1): a
+// retained page is cleared when the next run first touches it. Counters
+// restart at zero; retained pages are not re-counted in PagesAllocated,
+// so per-run stats only report allocations the run itself caused.
 func (m *Memory) Reset() {
-	for _, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		clear(p.hasWrite)
-		clear(p.nReaders)
-	}
+	m.epoch++
 	m.loads, m.stores = 0, 0
 	m.evictedReaders = 0
 	m.pagesAllocated = 0
@@ -118,6 +117,16 @@ func (m *Memory) pageFor(addr int64) (*page, int64) {
 		return nil, 0
 	}
 	p := m.pages[pi]
+	if p == nil || p.epoch != m.epoch {
+		p = m.touch(pi)
+	}
+	return p, addr % pageWords
+}
+
+// touch readies page pi for the current run: it allocates the page, or
+// clears one that holds an earlier run's accesses.
+func (m *Memory) touch(pi int64) *page {
+	p := m.pages[pi]
 	if p == nil {
 		p = &page{
 			writes:   make([]Access, pageWords),
@@ -127,13 +136,17 @@ func (m *Memory) pageFor(addr int64) (*page, int64) {
 		}
 		m.pages[pi] = p
 		m.pagesAllocated++
+	} else {
+		clear(p.hasWrite)
+		clear(p.nReaders)
 	}
-	return p, addr % pageWords
+	p.epoch = m.epoch
+	return p
 }
 
 // Load records a read of addr and returns the last write to addr, which
 // is the head of a RAW dependence ending at this read.
-func (m *Memory) Load(addr int64, pc int32, time int64, node *indexing.Construct) (raw Access, hasRAW bool) {
+func (m *Memory) Load(addr int64, pc int32, time int64, node int32) (raw Access, hasRAW bool) {
 	m.loads++
 	p, off := m.pageFor(addr)
 	if p == nil {
@@ -178,7 +191,7 @@ func (m *Memory) Load(addr int64, pc int32, time int64, node *indexing.Construct
 // of a WAW dependence) and the reads performed since that write (the
 // heads of WAR dependences). The returned reader slice is only valid
 // until the next call on this Memory.
-func (m *Memory) Store(addr int64, pc int32, time int64, node *indexing.Construct) (prev Access, hadPrev bool, readers []Access) {
+func (m *Memory) Store(addr int64, pc int32, time int64, node int32) (prev Access, hadPrev bool, readers []Access) {
 	m.stores++
 	p, off := m.pageFor(addr)
 	if p == nil {

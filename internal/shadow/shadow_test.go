@@ -3,11 +3,10 @@ package shadow
 import (
 	"testing"
 	"testing/quick"
-
-	"alchemist/internal/indexing"
 )
 
-func node() *indexing.Construct { return &indexing.Construct{} }
+// node stands for a construct pool index; the shadow only stores it.
+func node() int32 { return 1 }
 
 func TestRAWDetection(t *testing.T) {
 	m := New(1<<16, 0)
@@ -193,7 +192,7 @@ func TestAgainstOracle(t *testing.T) {
 			addr := int64(operation.Addr % 512) // force collisions
 			pc := int32(operation.PC%16) + 1
 			if operation.IsStore {
-				gPrev, gHad, gReaders := m.Store(addr, pc, time, nil)
+				gPrev, gHad, gReaders := m.Store(addr, pc, time, 0)
 				wPrev, wHad, wReaders := o.store(addr, pc, time)
 				if gHad != wHad {
 					return false
@@ -214,7 +213,7 @@ func TestAgainstOracle(t *testing.T) {
 					}
 				}
 			} else {
-				gw, gok := m.Load(addr, pc, time, nil)
+				gw, gok := m.Load(addr, pc, time, 0)
 				ww, wok := o.load(addr, pc, time)
 				if gok != wok {
 					return false
@@ -228,5 +227,32 @@ func TestAgainstOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResetForgetsAccesses: after Reset a retained page reports no
+// earlier write or reader, and it is not counted as allocated again.
+func TestResetForgetsAccesses(t *testing.T) {
+	m := New(1<<16, 0)
+	m.Store(70, 1, 10, 3)
+	m.Load(70, 2, 20, 3)
+	m.Store(9000, 1, 30, 3)
+	m.Reset()
+	if st := m.Stats(); st != (Stats{}) {
+		t.Errorf("stats after Reset = %+v", st)
+	}
+	if _, ok := m.Load(9000, 5, 1, 1); ok {
+		t.Error("RAW from a write before Reset")
+	}
+	prev, had, readers := m.Store(70, 6, 2, 1)
+	if had || len(readers) != 0 {
+		t.Errorf("Store after Reset saw prev = %+v (%v), readers = %v", prev, had, readers)
+	}
+	if got := m.Stats().PagesAllocated; got != 0 {
+		t.Errorf("retained pages counted again: %d", got)
+	}
+	// A second run's own accesses are tracked as usual.
+	if w, ok := m.Load(70, 7, 3, 1); !ok || w.PC != 6 {
+		t.Errorf("RAW after Reset = %+v, %v", w, ok)
 	}
 }

@@ -12,7 +12,12 @@
 // prefix; local arrays and alloc() regions are bump-allocated and never
 // reused, so recycled stack slots cannot manufacture false dependences.
 // Scalar locals live in frame registers and generate no memory events
-// (they model register-allocated C locals).
+// (they model register-allocated C locals). Config.MemWords caps the
+// array rather than sizing it: a sequential run starts with the global
+// prefix and grows the array, at least doubling it, as alloc() needs
+// more, so a run pays only for the memory it uses. A Parallel run
+// allocates the whole cap up front, because its spawns bump-allocate
+// concurrently.
 //
 // Concurrency: with Config.Parallel, spawn runs the callee on its own
 // goroutine over the shared memory and sync joins the current
@@ -61,7 +66,9 @@ type Tracer interface {
 
 // Config parameterizes a VM instance.
 type Config struct {
-	// MemWords is the flat memory size in 8-byte words (default 1<<22).
+	// MemWords caps the flat memory in 8-byte words (default 1<<22): an
+	// alloc() that would end past it traps with "out of memory".
+	// Sequential runs grow their memory on demand up to the cap.
 	MemWords int64
 	// StepLimit aborts runaway programs (sequential mode only; 0 = off).
 	StepLimit int64
@@ -177,10 +184,14 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
+	words := p.GlobalWords
+	if cfg.Parallel {
+		words = cfg.MemWords
+	}
 	vm := &VM{
 		prog:      p,
 		cfg:       cfg,
-		mem:       make([]int64, cfg.MemWords),
+		mem:       make([]int64, words),
 		allocNext: p.GlobalWords,
 		input:     cfg.Input,
 		out:       cfg.Out,
@@ -196,7 +207,9 @@ func New(p *ir.Program, cfg Config) (*VM, error) {
 	return vm, nil
 }
 
-// Mem exposes the flat memory for harness-level inspection after a run.
+// Mem exposes the flat memory for harness-level inspection after a run:
+// the prefix the run grew it to (all of MemWords in Parallel mode).
+// Words past it were never allocated and read as zero.
 func (vm *VM) Mem() []int64 { return vm.mem }
 
 // GlobalValue returns the value of the named global scalar, for tests and
@@ -424,7 +437,19 @@ func (vm *VM) alloc(n int64, in *ir.Instr) (ir.ArrayRef, error) {
 	if base+n > vm.cfg.MemWords {
 		return 0, vm.trap(in, "out of memory: need %d words beyond %d", n, base)
 	}
+	if base+n > int64(len(vm.mem)) { // never in Parallel mode
+		vm.grow(base + n)
+	}
 	return ir.MakeArrayRef(base, n), nil
+}
+
+// grow extends the flat memory to at least end words, at least doubling
+// it but never past MemWords. New words are zero, as fresh allocations
+// must be.
+func (vm *VM) grow(end int64) {
+	mem := make([]int64, min(max(end, 2*int64(len(vm.mem))), vm.cfg.MemWords))
+	copy(mem, vm.mem)
+	vm.mem = mem
 }
 
 func (vm *VM) randNext() int64 {
